@@ -2,8 +2,8 @@
 """CI bench guard: median drift plus the grid-wide speedup gate.
 
 Runs the engine benchmarks fresh (to a throwaway file — the committed
-``BENCH_engine.json`` is never overwritten here) and applies two
-checks:
+``BENCH_engine.json`` is never overwritten here) and applies these
+checks (2-5 are rows of the :data:`GATES` table, checked by one loop):
 
 1. **Median drift** — every median is compared against the committed
    baseline with a generous 50% tolerance.  The committed file is a
@@ -74,151 +74,70 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from run_benchmarks import DEFAULT_OUT, compare, condense, run_microbench
 
 
-def check_grid_speedup(summary: dict, baseline: dict, gate: float, tolerance: float) -> int:
-    """Gate the end-to-end grid speedup at the recorded baseline."""
-    status = 0
-    recorded = baseline.get("grid_speedup")
-    if recorded is None:
-        print("  grid speedup: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded < gate:
-        print(
-            f"  grid speedup: baseline records {recorded:.2f}x "
-            f"(gate >= {gate:.1f}x)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(f"  grid speedup: baseline records {recorded:.2f}x (gate >= {gate:.1f}x)")
-    fresh = summary.get("grid_speedup")
-    floor = gate * (1.0 - tolerance)
-    if fresh is None:
-        print("  grid speedup (fresh): missing grid benchmarks  <-- REGRESSION")
-        status = 1
-    elif fresh < floor:
-        print(
-            f"  grid speedup (fresh): {fresh:.2f}x "
-            f"(floor {floor:.1f}x at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  grid speedup (fresh): {fresh:.2f}x "
-            f"(floor {floor:.1f}x at {tolerance:.0%} tolerance)"
-        )
-    return status
+#: One row per ratio gate: (BENCH_engine.json key and CLI option dest,
+#: label, what a fresh run without the ratio is missing, which way is
+#: better, default bar, help text).  A "higher" gate passes at or above
+#: its bar and gets ``bar * (1 - tolerance)`` as the fresh floor; a
+#: "lower" gate passes strictly below it and gets ``bar * (1 +
+#: tolerance)`` as the fresh ceiling.
+GATES = (
+    ("grid_speedup", "grid speedup", "grid benchmarks", "higher", 10.0,
+     "required end-to-end grid speedup at the recorded baseline"),
+    ("session_overhead", "session overhead", "session benchmark", "lower", 0.02,
+     "allowed session-layer grid overhead at the recorded baseline"),
+    ("service_overhead", "service overhead", "service benchmark", "lower", 0.5,
+     "allowed service-layer cached-hit overhead at the recorded baseline"),
+    ("openloop_overhead", "open-loop overhead", "sweep benchmark", "lower", 0.5,
+     "allowed open-loop per-completion overhead at the recorded baseline"),
+)
 
 
-def check_session_overhead(
-    summary: dict, baseline: dict, gate: float, tolerance: float
+def check_gate(
+    summary: dict,
+    baseline: dict,
+    gate: tuple,
+    bar: float,
+    tolerance: float,
 ) -> int:
-    """Gate the session layer's grid overhead at the recorded baseline."""
+    """Gate one ratio at the recorded baseline and, with drift-scaled
+    slack, on the fresh run; 1 on any regression."""
+    key, label, missing, better, _default, _help = gate
+    higher = better == "higher"
+
+    def value(number: float) -> str:
+        return f"{number:.2f}x" if higher else f"{number:+.2%}"
+
+    def limit(number: float) -> str:
+        return f"{number:.1f}x" if higher else f"{number:.0%}"
+
+    def passes(number: float, against: float) -> bool:
+        return number >= against if higher else number < against
+
     status = 0
-    recorded = baseline.get("session_overhead")
+    recorded = baseline.get(key)
     if recorded is None:
-        print("  session overhead: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded >= gate:
-        print(
-            f"  session overhead: baseline records {recorded:+.2%} "
-            f"(gate < {gate:.0%})  <-- REGRESSION"
-        )
+        print(f"  {label}: baseline records none  <-- REGRESSION")
         status = 1
     else:
-        print(
-            f"  session overhead: baseline records {recorded:+.2%} (gate < {gate:.0%})"
-        )
-    fresh = summary.get("session_overhead")
-    ceiling = gate * (1.0 + tolerance)
+        verdict = "" if passes(recorded, bar) else "  <-- REGRESSION"
+        relation = ">=" if higher else "<"
+        print(f"  {label}: baseline records {value(recorded)} (gate {relation} {limit(bar)}){verdict}")
+        if verdict:
+            status = 1
+    fresh = summary.get(key)
+    slack = bar * (1.0 - tolerance) if higher else bar * (1.0 + tolerance)
+    bound = "floor" if higher else "ceiling"
     if fresh is None:
-        print("  session overhead (fresh): missing session benchmark  <-- REGRESSION")
-        status = 1
-    elif fresh >= ceiling:
-        print(
-            f"  session overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
+        print(f"  {label} (fresh): missing {missing}  <-- REGRESSION")
         status = 1
     else:
+        verdict = "" if passes(fresh, slack) else "  <-- REGRESSION"
         print(
-            f"  session overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)"
+            f"  {label} (fresh): {value(fresh)} "
+            f"({bound} {limit(slack)} at {tolerance:.0%} tolerance){verdict}"
         )
-    return status
-
-
-def check_service_overhead(
-    summary: dict, baseline: dict, gate: float, tolerance: float
-) -> int:
-    """Gate the service layer's cached-hit overhead at the baseline."""
-    status = 0
-    recorded = baseline.get("service_overhead")
-    if recorded is None:
-        print("  service overhead: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded >= gate:
-        print(
-            f"  service overhead: baseline records {recorded:+.2%} "
-            f"(gate < {gate:.0%})  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  service overhead: baseline records {recorded:+.2%} (gate < {gate:.0%})"
-        )
-    fresh = summary.get("service_overhead")
-    ceiling = gate * (1.0 + tolerance)
-    if fresh is None:
-        print("  service overhead (fresh): missing service benchmark  <-- REGRESSION")
-        status = 1
-    elif fresh >= ceiling:
-        print(
-            f"  service overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  service overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)"
-        )
-    return status
-
-
-def check_openloop_overhead(
-    summary: dict, baseline: dict, gate: float, tolerance: float
-) -> int:
-    """Gate the arrival layer's per-completion cost at the baseline."""
-    status = 0
-    recorded = baseline.get("openloop_overhead")
-    if recorded is None:
-        print("  open-loop overhead: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded >= gate:
-        print(
-            f"  open-loop overhead: baseline records {recorded:+.2%} "
-            f"(gate < {gate:.0%})  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  open-loop overhead: baseline records {recorded:+.2%} (gate < {gate:.0%})"
-        )
-    fresh = summary.get("openloop_overhead")
-    ceiling = gate * (1.0 + tolerance)
-    if fresh is None:
-        print("  open-loop overhead (fresh): missing sweep benchmark  <-- REGRESSION")
-        status = 1
-    elif fresh >= ceiling:
-        print(
-            f"  open-loop overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  open-loop overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)"
-        )
+        if verdict:
+            status = 1
     return status
 
 
@@ -236,30 +155,10 @@ def main() -> int:
         default=0.5,
         help="allowed fractional median slowdown (default 0.5, i.e. 1.5x)",
     )
-    parser.add_argument(
-        "--grid-speedup",
-        type=float,
-        default=10.0,
-        help="required end-to-end grid speedup at the recorded baseline",
-    )
-    parser.add_argument(
-        "--session-overhead",
-        type=float,
-        default=0.02,
-        help="allowed session-layer grid overhead at the recorded baseline",
-    )
-    parser.add_argument(
-        "--service-overhead",
-        type=float,
-        default=0.5,
-        help="allowed service-layer cached-hit overhead at the recorded baseline",
-    )
-    parser.add_argument(
-        "--openloop-overhead",
-        type=float,
-        default=0.5,
-        help="allowed open-loop per-completion overhead at the recorded baseline",
-    )
+    for key, _label, _missing, _better, default, help_text in GATES:
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=float, default=default, help=help_text
+        )
     args = parser.parse_args()
 
     if not args.baseline.exists():
@@ -275,20 +174,11 @@ def main() -> int:
     )
     status = compare(summary, args.baseline, args.tolerance)
     baseline_doc = json.loads(args.baseline.read_text(encoding="utf-8"))
-    grid_status = check_grid_speedup(
-        summary, baseline_doc, args.grid_speedup, args.tolerance
-    )
-    session_status = check_session_overhead(
-        summary, baseline_doc, args.session_overhead, args.tolerance
-    )
-    service_status = check_service_overhead(
-        summary, baseline_doc, args.service_overhead, args.tolerance
-    )
-    openloop_status = check_openloop_overhead(
-        summary, baseline_doc, args.openloop_overhead, args.tolerance
-    )
-    return status or grid_status or session_status or service_status or openloop_status
-
+    failed = [
+        check_gate(summary, baseline_doc, gate, getattr(args, gate[0]), args.tolerance)
+        for gate in GATES
+    ]
+    return status or int(any(failed))
 
 if __name__ == "__main__":
     sys.exit(main())

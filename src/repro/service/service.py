@@ -7,16 +7,19 @@ state, liveness under contention, graceful degradation:
 - **admission** is a bounded queue with explicit backpressure
   (:mod:`repro.service.admission`): a full queue refuses the job with a
   ``retry_after`` hint, never buffers unboundedly;
-- **execution** batches each dispatch gather through the session
-  planner — cache hits replay from the shared content-addressed store,
-  identical requests from different clients dedup to one run, lane-pack
-  misses run as lockstep super-batches on the sharded process pool
-  (:mod:`repro.service.shards`), per-cell misses fan out by content
-  hash;
+- **execution** flattens each dispatch gather into one
+  :func:`~repro.session.planner.plan_runs` +
+  :func:`~repro.session.execute.execute_plan` call and slices the
+  outcomes back per job — cache hits replay from the shared
+  content-addressed store, identical requests from different clients
+  dedup to one run, lane-pack misses run as lockstep super-batches on
+  the sharded process pool (:mod:`repro.service.shards`), per-cell
+  misses fan out by content hash;
 - **robustness** is the headline: per-job wall-clock deadlines and cell
-  budgets enforced with cancellation, bounded replay with deterministic
-  jittered backoff on worker crashes, degradation to serial in-process
-  execution when the pool is irrecoverable, and the terminal-state
+  budgets enforced with cancellation at payload boundaries, the pool's
+  crash ladder (bounded replay with deterministic jittered backoff,
+  degradation to serial in-process execution when the pool is
+  irrecoverable — see :mod:`repro.service.shards`), and the terminal-state
   guarantee — every accepted job finishes exactly one of
   ``done`` / ``failed`` / ``rejected`` / ``timeout``, carrying
   :class:`~repro.session.outcome.RunOutcome` provenance or a
@@ -34,14 +37,14 @@ be pointed at a running service unchanged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, Future, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import CancelledRunError, ConfigurationError, ServiceError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.sinks import EventSink, JsonlSink
 from repro.service.admission import AdmissionController
@@ -55,8 +58,9 @@ from repro.service.jobs import (
     JobBudget,
     ServiceEvent,
 )
-from repro.service.shards import PAYLOAD_CELL, PAYLOAD_LANES, ShardPool, split_by_shard
+from repro.service.shards import ShardPool
 from repro.session.control import RunControl
+from repro.session.execute import execute_plan
 from repro.session.outcome import CellFailure, RunOutcome, SessionStats
 from repro.session.planner import plan_runs
 from repro.session.request import RunRequest
@@ -154,21 +158,31 @@ class ServiceConfig:
             )
 
 
-class _Payload:
-    """One unit of shard work: a cell or a lane pack, plus bookkeeping."""
+#: Service counters that follow the session and pool tallies.
+_TALLIES = (
+    "service.executed",
+    "service.cache_hits",
+    "service.deduplicated",
+    "service.crashes",
+    "service.retried",
+)
 
-    __slots__ = ("kind", "data", "indices", "shard", "replays", "gen")
 
-    def __init__(self, kind: str, data, indices: List[int], shard: int) -> None:
-        self.kind = kind
-        self.data = data
-        #: Positions in the gather's unique-request list this payload answers.
-        self.indices = indices
-        self.shard = shard
-        self.replays = 0
-        #: Shard-pool generation at submit time (crash-recovery dedup:
-        #: one broken pool triggers one respawn, not one per payload).
-        self.gen = -1
+class _LiveJobs:
+    """The payload-boundary check of one dispatch: jobs past their
+    deadline time out there, and the dispatch stops once none is left."""
+
+    def __init__(self, service: "ArbitrationService", jobs: List[Job]) -> None:
+        self.service = service
+        self.jobs = jobs
+
+    def check(self) -> None:
+        now = time.monotonic()
+        for job in self.jobs:
+            if not job.terminal and job.expired(now):
+                self.service._expire(job)
+        if all(job.terminal for job in self.jobs):
+            raise CancelledRunError("every job of the dispatch is terminal")
 
 
 class ArbitrationService:
@@ -211,6 +225,11 @@ class ArbitrationService:
         if self.config.serial:
             self.pool.degraded = True
             self.pool.degraded_reason = "serial execution configured"
+        self._backend = functools.partial(
+            self.pool.run,
+            max_replays=self.config.max_replays,
+            poll_interval=self.config.poll_interval,
+        )
         #: Executor duck type: a service never overrides cell engines
         #: (the planner respects each request's own declaration), and it
         #: keeps the same :class:`SessionStats` accounting every other
@@ -441,8 +460,6 @@ class ArbitrationService:
 
     def _fail(self, job: Job, error: str, failure: Optional[CellFailure] = None) -> None:
         job._finish(JOB_FAILED, error=error, failure=failure)
-        if failure is not None:
-            self.stats.failures.append(failure)
         self._count("service.failed")
         self._emit("terminal", job, error)
 
@@ -490,336 +507,57 @@ class ArbitrationService:
         if not live:
             return
         self._emit("dispatch", detail=f"{len(live)} job(s)")
-
-        # Cross-client dedup: one slot per distinct epoch-6 content hash.
-        index_of: Dict[str, int] = {}
-        unique: List[RunRequest] = []
-        keys: List[str] = []
-        slots: Dict[str, List[int]] = {}
-        for job in live:
-            slots[job.job_id] = []
-            for request in job.requests:
-                resolved = request.resolved()
-                key = resolved.cache_key()
-                uidx = index_of.get(key)
-                if uidx is None:
-                    uidx = len(unique)
-                    index_of[key] = uidx
-                    unique.append(resolved)
-                    keys.append(key)
-                else:
-                    self._count("service.deduplicated")
-                    self.stats.deduplicated += 1
-                slots[job.job_id].append(uidx)
-
-        plan = plan_runs(unique, cache=self.cache)
-        results: List[Optional["RunResult"]] = [None] * len(unique)
-        errors: Dict[int, str] = {}
-        routes = [run.route for run in plan.runs]
-        stored = [False] * len(unique)
-
-        for run in plan.cached_runs:
-            results[run.index] = run.cached
-            self._count("service.cache_hits")
-            self.stats.cache_hits += 1
-
-        payloads = self._build_payloads(plan, unique, keys)
-        if payloads:
-            if self.pool.degraded:
-                self._run_serial(payloads, live, unique, keys, results, errors, stored)
-            else:
-                self._run_pooled(payloads, live, unique, keys, results, errors, stored)
-
-        self._finalise(live, slots, unique, keys, routes, results, errors, stored)
-
-    def _build_payloads(self, plan, unique, keys) -> List[_Payload]:
-        """Misses become shard payloads: lane packs per shard, cells solo."""
-        payloads: List[_Payload] = []
-        lane_idx = [run.index for run in plan.lane_runs]
-        if lane_idx:
-            for shard, positions in split_by_shard([keys[i] for i in lane_idx], self.pool):
-                indices = [lane_idx[pos] for pos in positions]
-                cells = tuple(unique[i].as_cell() for i in indices)
-                payloads.append(_Payload(PAYLOAD_LANES, cells, indices, shard))
-        for run in plan.direct_runs:
-            index = run.index
-            payloads.append(
-                _Payload(
-                    PAYLOAD_CELL,
-                    unique[index].as_cell(),
-                    [index],
-                    self.pool.shard_for(keys[index]),
-                )
-            )
-        return payloads
-
-    def _store(self, index: int, result: "RunResult", keys, results, stored) -> None:
-        results[index] = result
-        if self.cache is not None:
-            self.cache.put(keys[index], result)
-            stored[index] = True
-        self._count("service.executed")
-        self.stats.executed += 1
-
-    def _expire_due(self, live: List[Job]) -> None:
-        now = time.monotonic()
-        for job in live:
-            if not job.terminal and job.expired(now):
-                self._expire(job)
-
-    def _owners_alive(self, payload: _Payload, live: List[Job], slots=None) -> bool:
-        """True while any live job still needs one of the payload's cells."""
-        needed = set(payload.indices)
-        for job in live:
-            if job.terminal:
-                continue
-            job_slots = slots.get(job.job_id, []) if slots else None
-            if job_slots is None:
-                return True
-            if needed.intersection(job_slots):
-                return True
-        return False
-
-    # -- serial (degraded) execution ------------------------------------------
-
-    def _run_serial(self, payloads, live, unique, keys, results, errors, stored) -> None:
-        """In-process execution: the irrecoverable-pool (or configured
-        serial) path.  Deadlines are checked at every payload boundary
-        (and between the cells of a demoted lane pack), so an expired
-        job stops costing compute at the next cell boundary and the
-        loop ends once no live job remains.
-        """
-        for payload in payloads:
-            self._expire_due(live)
-            if all(job.terminal for job in live):
-                return
-            try:
-                out = self.pool.run_serial(payload.kind, payload.data)
-            except Exception as exc:
-                if payload.kind == PAYLOAD_LANES:
-                    # Same demotion contract as the session layer: a lane
-                    # pack that fails at runtime re-runs per cell so real
-                    # per-cell errors surface individually.
-                    self._serial_cells(payload, live, unique, keys, results, errors, stored)
-                else:
-                    errors[payload.indices[0]] = f"{type(exc).__name__}: {exc}"
-                continue
-            if payload.kind == PAYLOAD_LANES:
-                for index, result in zip(payload.indices, out):
-                    self._store(index, result, keys, results, stored)
-            else:
-                self._store(payload.indices[0], out, keys, results, stored)
-
-    def _serial_cells(self, payload, live, unique, keys, results, errors, stored) -> None:
-        """Per-cell serial re-run of a demoted lane pack.
-
-        Deadline enforcement is per *job*, at every cell boundary:
-        ``_expire_due`` times out the jobs that are over budget, and the
-        loop stops only once every live job is terminal — a shared
-        deadline would let the earliest-expiring job starve the others'
-        remaining cells.
-        """
-        for index in payload.indices:
-            self._expire_due(live)
-            if all(job.terminal for job in live):
-                return
-            try:
-                result = self.pool.run_serial(PAYLOAD_CELL, unique[index].as_cell())
-            except Exception as exc:
-                errors[index] = f"{type(exc).__name__}: {exc}"
-            else:
-                self._store(index, result, keys, results, stored)
-
-    # -- pooled execution ------------------------------------------------------
-
-    def _run_pooled(self, payloads, live, unique, keys, results, errors, stored) -> None:
-        """Sharded process-pool execution with crash recovery.
-
-        A ``BrokenProcessPool`` from any future triggers the failure
-        ladder: respawn the shard (backoff-paced) and replay the
-        payload at most ``max_replays`` times, then run it serially
-        in-process; if the respawn budget is exhausted the whole pool
-        degrades and the remaining payloads run serially.  Futures
-        whose every interested job has expired are cancelled.
-        """
-        pending: Dict[Future, _Payload] = {}
-        backlog: List[_Payload] = list(payloads)
-        while backlog:
-            payload = backlog.pop(0)
-            if not self._submit_payload(payload, pending):
-                # Pool refused at submit time: degrade and run the rest
-                # (this payload included) serially.
-                remaining = [payload] + backlog
-                self._degrade_now("process pool unavailable at submit")
-                self._run_serial(remaining, live, unique, keys, results, errors, stored)
-                backlog = []
-        while pending:
-            done, _ = wait(
-                set(pending), timeout=self.config.poll_interval,
-                return_when=FIRST_COMPLETED,
-            )
-            self._expire_due(live)
-            if all(job.terminal for job in live):
-                for future in pending:
-                    future.cancel()
-                # Completed results are still harvested below so the
-                # shared cache keeps deterministic work already paid for.
-            for future in list(done):
-                # A recovery earlier in this round may have drained the
-                # future's whole shard already (see _drain_shard).
-                payload = pending.pop(future, None)
-                if payload is None:
-                    continue
-                try:
-                    out = future.result()
-                except CancelledError:
-                    # Degradation cancels queued futures pool-wide; a
-                    # payload some live job still needs runs serially
-                    # instead of being dropped.  (When every job is
-                    # terminal — the other source of cancellation —
-                    # _run_serial returns without doing work.)
-                    self._run_serial(
-                        [payload], live, unique, keys, results, errors, stored
-                    )
-                except BrokenExecutor as exc:
-                    self._count("service.crashes")
-                    self.pool.note_crash()
-                    self._recover(
-                        payload, exc, pending, live, unique, keys, results, errors, stored
-                    )
-                except Exception as exc:
-                    if payload.kind == PAYLOAD_LANES:
-                        self._serial_cells(
-                            payload, live, unique, keys, results, errors, stored
-                        )
-                    else:
-                        errors[payload.indices[0]] = f"{type(exc).__name__}: {exc}"
-                else:
-                    if payload.kind == PAYLOAD_LANES:
-                        for index, result in zip(payload.indices, out):
-                            self._store(index, result, keys, results, stored)
-                    else:
-                        self._store(payload.indices[0], out, keys, results, stored)
-            if all(job.terminal for job in live) and not any(
-                not future.cancelled() for future in pending
-            ):
-                return
-
-    def _submit_payload(self, payload: _Payload, pending: Dict[Future, _Payload]) -> bool:
+        plan = plan_runs([request for job in live for request in job.requests], cache=self.cache)
+        before, degraded = self._tallies(), self.pool.degraded
         try:
-            payload.gen = self.pool.generation(payload.shard)
-            future = self.pool.submit(payload.shard, payload.kind, payload.data)
-        except Exception:
-            return False
-        pending[future] = payload
-        return True
-
-    def _degrade_now(self, reason: str) -> None:
-        if not self.pool.degraded:
-            self.pool.degrade(reason)
-            self._count("service.degraded")
-            self._emit("degrade", detail=reason)
-
-    def _drain_shard(self, shard, pending, keys, results, stored) -> List[_Payload]:
-        """Pop every pending future of ``shard``; the payloads that still
-        need to run come back, results that completed before the shard
-        broke are harvested in place."""
-        dead: List[_Payload] = []
-        for future in list(pending):
-            if pending[future].shard != shard:
-                continue
-            payload = pending.pop(future)
-            if future.cancel() or future.cancelled() or not future.done():
-                # Never started, or stranded mid-run on a broken pool:
-                # either way the worker result is unreachable, and the
-                # serial re-run recomputes the same deterministic bytes.
-                dead.append(payload)
-            elif future.exception() is not None:
-                dead.append(payload)
-            elif payload.kind == PAYLOAD_LANES:
-                for index, result in zip(payload.indices, future.result()):
-                    self._store(index, result, keys, results, stored)
-            else:
-                self._store(payload.indices[0], future.result(), keys, results, stored)
-        return dead
-
-    def _recover(
-        self, payload, exc, pending, live, unique, keys, results, errors, stored
-    ) -> None:
-        """The crash ladder for one broken payload (see class docstring)."""
-        detail = f"{type(exc).__name__}: {exc}"
-        if payload.replays >= self.config.max_replays:
-            # Replayed already and crashed again: this payload gets no
-            # more worker attempts — run it serially, in-process, where
-            # a crash cannot recur (the kill arming is not consulted).
-            self._emit("retry", detail=f"serial replay after repeated crash ({detail})")
-            self._run_serial([payload], live, unique, keys, results, errors, stored)
-            return
-        if payload.gen == self.pool.generation(payload.shard) and not self.pool.respawn(
-            payload.shard
-        ):
-            # (A stale generation means the shard was already respawned
-            # for this very crash — one break fails every queued future
-            # of the shard at once — so the payload just replays on the
-            # replacement below without spending another respawn.)
-            self._degrade_now(f"respawn budget exhausted ({detail})")
-            # Everything this shard still had pending is known-dead:
-            # pull it all out now — harvesting whatever completed
-            # before the break — and run the rest serially.  Futures
-            # already *running* on other shards keep going and are
-            # harvested by the main loop; their still-queued siblings,
-            # cancelled by the pool-wide degrade, re-route to serial in
-            # the harvest loop's CancelledError arm.
-            remaining = [payload] + self._drain_shard(
-                payload.shard, pending, keys, results, stored
+            outcomes = execute_plan(
+                plan,
+                cache=self.cache,
+                stats=self.stats,
+                backend=self._backend,
+                control=_LiveJobs(self, live),
+                backoff=self.config.backoff,
             )
-            self._run_serial(remaining, live, unique, keys, results, errors, stored)
-            return
-        payload.replays += 1
-        self._count("service.retried")
+        except CancelledRunError:
+            return  # every job timed out mid-run
+        finally:
+            self._account(before, degraded, live)
+        start = 0
         for job in live:
+            mine = outcomes[start:start + len(job.requests)]
+            start += len(job.requests)
             if not job.terminal:
-                job.attempts += 1
-        self._emit("retry", detail=f"replay {payload.replays} after {detail}")
-        if not self._submit_payload(payload, pending):
-            self._degrade_now("process pool unavailable on replay")
-            self._run_serial([payload], live, unique, keys, results, errors, stored)
+                self._finish(job, mine)
 
-    # -- finalisation ----------------------------------------------------------
-
-    def _finalise(self, live, slots, unique, keys, routes, results, errors, stored) -> None:
-        """Every still-running job gets its terminal state and provenance."""
-        for job in live:
-            if job.terminal:
-                continue
-            outcomes: List[RunOutcome] = []
-            failure: Optional[CellFailure] = None
-            for slot, uidx in enumerate(slots[job.job_id]):
-                error = errors.get(uidx)
-                if error is None and results[uidx] is None:
-                    error = "result unavailable (cell never completed)"
-                if error is not None:
-                    failure = CellFailure(
-                        index=slot,
-                        tag=job.tag,
-                        protocol=unique[uidx].protocol,
-                        scenario=unique[uidx].scenario.name,
-                        error=error,
-                        first_error=error,
-                    )
-                    break
-                outcomes.append(
-                    RunOutcome(
-                        request=unique[uidx],
-                        result=results[uidx],
-                        route=routes[uidx],
-                        cache_key=keys[uidx],
-                        stored=stored[uidx],
-                    )
-                )
-            if failure is not None:
+    def _finish(self, job: Job, outcomes: List[RunOutcome]) -> None:
+        """A still-running job's terminal state, from its outcomes."""
+        for slot, outcome in enumerate(outcomes):
+            if outcome.failure is not None:
+                failure = replace(outcome.failure, index=slot, tag=job.tag)
                 self._fail(job, str(failure), failure)
-            else:
-                job._finish(JOB_DONE, outcomes=outcomes)
-                self._count("service.done")
-                self._emit("terminal", job)
+                return
+        job._finish(JOB_DONE, outcomes=outcomes)
+        self._count("service.done")
+        self._emit("terminal", job)
+
+    def _tallies(self) -> Tuple[int, ...]:
+        """The session and pool tallies behind :data:`_TALLIES`."""
+        stats, pool = self.stats, self.pool
+        return (stats.executed, stats.cache_hits, stats.deduplicated, pool.crashes, pool.replays)
+
+    def _account(self, before: Tuple[int, ...], degraded: bool, live: List[Job]) -> None:
+        """Fold one dispatch's session and pool tallies into the service
+        counters, job attempts and lifecycle telemetry."""
+        after = self._tallies()
+        for name, old, new in zip(_TALLIES, before, after):
+            if new > old:
+                self._count(name, new - old)
+        replays = after[-1] - before[-1]
+        if replays:
+            for job in live:
+                if not job.terminal:
+                    job.attempts += replays
+            self._emit("retry", detail=f"{replays} payload replay(s) after worker crashes")
+        if self.pool.degraded and not degraded:
+            self._count("service.degraded")
+            self._emit("degrade", detail=self.pool.degraded_reason or "")

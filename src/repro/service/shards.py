@@ -1,47 +1,62 @@
 """Sharded process-pool back end with respawn and graceful degradation.
 
-The service's compute layer is a small fleet of independent
+:class:`ShardPool` is the repository's one process pool: the service
+runs every dispatch on it, and a
+:class:`~repro.experiments.sweep.SweepExecutor` with ``jobs > 1`` runs
+its grid on a one-shard pool.  It is a small fleet of independent
 :class:`~concurrent.futures.ProcessPoolExecutor` shards.  Work routes
 to a shard by the cell's epoch-6 content hash, so one crashing payload
 can only take down the futures of its own shard — the blast radius the
 paper's distributed arbiters get from per-agent state replication, here
 applied to the serving layer.
 
-Failure ladder (each rung strictly contains the one above):
+:meth:`ShardPool.run` is the back end
+:func:`~repro.session.execute.execute_plan` drives.  Its failure ladder
+(each rung strictly contains the one above):
 
 1. a worker crash breaks one shard; the shard is **respawned** after a
    deterministic jittered backoff delay and the in-flight payloads are
-   replayed (the service bounds replays per job);
+   replayed, each at most ``max_replays`` times before it runs
+   in-process instead;
 2. repeated crashes exhaust ``max_respawns`` — or the platform cannot
    host process pools at all — and the whole pool **degrades** to
-   serial in-process execution: slower, but every accepted job still
-   reaches a terminal state;
-3. payloads executed serially strip the test-only crash arming, so a
+   serial in-process execution.  Degrading drains the pending futures
+   of *every* shard at once: finished results are harvested and the
+   rest run in-process, so no future outlives its pool and every
+   payload is answered;
+3. payloads executed in-process strip the test-only crash arming, so a
    replay can never re-trigger the fault that killed its worker.
 
 The ``arm_kills`` hook is the deterministic fault-injection seam the
 soak suite uses: the next *n* payloads submitted to worker processes
 ``os._exit`` before touching their cell, which is indistinguishable
 from a real mid-job worker loss (OOM kill, segfault) at the
-``BrokenProcessPool`` boundary the service recovers across.
+``BrokenProcessPool`` boundary the pool recovers across.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.service.backoff import BackoffPolicy
+from repro.session.execute import PAYLOAD_CELL, PAYLOAD_LANES, Payload, SerialBackend
 
-__all__ = ["ShardPool", "split_by_shard", "PAYLOAD_CELL", "PAYLOAD_LANES"]
+__all__ = ["ShardPool", "PAYLOAD_CELL", "PAYLOAD_LANES"]
 
-#: Payload kinds: one simulation cell, or one lane-packed super-batch.
-PAYLOAD_CELL = "cell"
-PAYLOAD_LANES = "lanes"
+#: In-process execution: degraded mode and the last rung of a replay.
+_HERE = SerialBackend()
 
 
 def _execute_payload(kind: str, kill: bool, data):
@@ -53,14 +68,20 @@ def _execute_payload(kind: str, kill: bool, data):
     """
     if kill:
         os._exit(13)
-    if kind == PAYLOAD_LANES:
-        from repro.engine.batch import run_lanes
+    return _HERE.execute(kind, data)
 
-        return list(run_lanes(data))
-    scenario, protocol, settings = data
-    from repro.session.single import run_cell
 
-    return run_cell(scenario, protocol, settings)
+class _Task:
+    """A payload on its way through one shard."""
+
+    __slots__ = ("payload", "shard", "gen", "replays")
+
+    def __init__(self, payload: Payload, shard: int) -> None:
+        self.payload = payload
+        self.shard = shard
+        #: The shard's pool generation at submit time (see ``_generations``).
+        self.gen = -1
+        self.replays = 0
 
 
 class ShardPool:
@@ -97,8 +118,8 @@ class ShardPool:
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.max_respawns = max_respawns
         self._pools: List[Optional[ProcessPoolExecutor]] = [None] * shards
-        #: Per-shard pool identity, bumped on every respawn: payloads
-        #: remember the generation they were submitted under, so one
+        #: Per-shard pool identity, bumped on every respawn: a task
+        #: remembers the generation it was submitted under, so one
         #: crash (which breaks every queued future of its shard at
         #: once) triggers exactly one respawn — stale-generation
         #: failures replay on the replacement pool instead of
@@ -109,6 +130,8 @@ class ShardPool:
         self.degraded_reason: Optional[str] = None
         self.crashes = 0
         self.respawns = 0
+        #: Payloads resubmitted to a worker after a crash.
+        self.replays = 0
         self._kill_budget = 0
         self._closed = False
 
@@ -122,10 +145,21 @@ class ShardPool:
             prefix = hash(key)
         return prefix % self.shards
 
-    def generation(self, shard: int) -> int:
-        """The shard's current pool generation (see ``_generations``)."""
-        with self._lock:
-            return self._generations[shard]
+    def _tasks(self, payloads: Sequence[Payload]) -> List[_Task]:
+        """Cells go to their key's shard; a lane pack splits into one
+        pack per shard, so routing and the lockstep engine compose."""
+        tasks: List[_Task] = []
+        for payload in payloads:
+            if payload.kind != PAYLOAD_LANES:
+                tasks.append(_Task(payload, self.shard_for(payload.runs[0].key)))
+                continue
+            by_shard: Dict[int, list] = {}
+            for planned in payload.runs:
+                by_shard.setdefault(self.shard_for(planned.key), []).append(planned)
+            for shard, runs in sorted(by_shard.items()):
+                part = payload if len(by_shard) == 1 else Payload(PAYLOAD_LANES, runs)
+                tasks.append(_Task(part, shard))
+        return tasks
 
     # -- fault injection (tests) ----------------------------------------------
 
@@ -159,24 +193,18 @@ class ShardPool:
         """Submit one payload to ``shard``; consumes any armed kill.
 
         Raises :class:`BrokenExecutor` (or the platform's pool-creation
-        error) straight through — recovery policy lives in the service.
+        error) straight through — recovery lives in :meth:`run`.
         """
         kill = self._take_kill()
         return self._pool(shard).submit(_execute_payload, kind, kill, data)
 
-    def note_crash(self) -> None:
-        """Record one observed worker crash (``BrokenProcessPool``)."""
-        with self._lock:
-            self.crashes += 1
-
-    def respawn(self, shard: int, token: str = "") -> bool:
+    def _respawn(self, shard: int) -> bool:
         """Replace a broken shard after the backoff delay.
 
         Returns False — without raising — once the respawn budget is
-        exhausted or the platform refuses a new pool; the caller then
-        degrades.  The attempt number fed to the backoff is the
-        cumulative respawn count, so a crash storm waits progressively
-        longer instead of spinning.
+        exhausted or the platform refuses a new pool.  The attempt
+        number fed to the backoff is the cumulative respawn count, so a
+        crash storm waits progressively longer instead of spinning.
         """
         with self._lock:
             if self.respawns >= self.max_respawns:
@@ -188,7 +216,7 @@ class ShardPool:
         self._pools[shard] = None
         if broken is not None:
             broken.shutdown(wait=False, cancel_futures=True)
-        self.backoff.sleep(attempt, token=token or f"shard{shard}")
+        self.backoff.sleep(attempt, token=f"shard{shard}")
         try:
             self._pool(shard)
         except Exception:
@@ -204,24 +232,105 @@ class ShardPool:
                 pool.shutdown(wait=False, cancel_futures=True)
                 self._pools[shard] = None
 
-    # -- serial fallback ------------------------------------------------------
+    # -- the back end ---------------------------------------------------------
+
+    def run(
+        self,
+        payloads: Sequence[Payload],
+        check: Callable[[], None],
+        max_replays: int = 1,
+        poll_interval: float = 0.05,
+    ) -> Iterator[tuple]:
+        """Run payloads on the shards, yielding ``(payload, result, error)``.
+
+        The back-end protocol of :func:`~repro.session.execute.
+        execute_plan`.  ``check`` runs after every wait of at most
+        ``poll_interval`` seconds and before every in-process payload;
+        whatever it raises propagates after the pending futures are
+        cancelled.  Worker crashes never surface as errors: they climb
+        the ladder in the module docstring, ``max_replays`` bounding the
+        replays of one payload.
+        """
+        if self.degraded:
+            yield from self._here(payloads, check, rerun=False)
+            return
+        backlog: Deque[_Task] = deque(self._tasks(payloads))
+        pending: Dict[Future, _Task] = {}
+        lost = False  # did degradation lose work the pool already owed?
+        try:
+            while backlog or pending:
+                while backlog and not self.degraded:
+                    task = backlog[0]
+                    try:
+                        task.gen = self._generations[task.shard]
+                        future = self.submit(task.shard, task.payload.kind, task.payload.data)
+                    except Exception as exc:
+                        lost = isinstance(exc, BrokenExecutor)
+                        self.degrade(f"process pool unavailable ({type(exc).__name__}: {exc})")
+                        break
+                    backlog.popleft()
+                    pending[future] = task
+                if self.degraded:
+                    yield from self._drain(pending, backlog, check, lost)
+                    return
+                done, _ = wait(pending, timeout=poll_interval, return_when=FIRST_COMPLETED)
+                check()
+                for future in done:
+                    task = pending.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenExecutor as exc:
+                        self.crashes += 1
+                        if task.replays >= max_replays:
+                            # Replayed already and crashed again: no more
+                            # worker attempts — run it here, where a crash
+                            # cannot recur (the kill arming is not consulted).
+                            yield from self._here([task.payload], check, rerun=True)
+                        elif task.gen == self._generations[task.shard] and not self._respawn(
+                            task.shard
+                        ):
+                            lost = True
+                            self.degrade(f"respawn budget exhausted ({type(exc).__name__}: {exc})")
+                            backlog.append(task)
+                            break  # the drain answers the rest of ``done``
+                        else:
+                            # (A stale generation means the shard was already
+                            # respawned for this very crash, so the task just
+                            # replays without spending another respawn.)
+                            task.replays += 1
+                            self.replays += 1
+                            backlog.append(task)
+                    except CancelledError:
+                        yield from self._here([task.payload], check, rerun=True)
+                    except Exception as exc:
+                        yield task.payload, None, exc
+                    else:
+                        task.payload.worker = True
+                        yield task.payload, result, None
+        finally:
+            for future in pending:
+                future.cancel()
+
+    def _drain(self, pending, backlog, check, rerun: bool) -> Iterator[tuple]:
+        """Everything a degraded pool still owes, across every shard:
+        futures that finished cleanly are harvested, the rest (queued,
+        running or broken) run in-process."""
+        owed = [task.payload for task in backlog]
+        backlog.clear()
+        for future, task in list(pending.items()):
+            del pending[future]
+            if future.done() and not future.cancelled() and future.exception() is None:
+                task.payload.worker = True
+                yield task.payload, future.result(), None
+            else:
+                owed.append(task.payload)
+        yield from self._here(owed, check, rerun)
 
     @staticmethod
-    def run_serial(kind: str, data):
-        """Execute one payload in-process (degraded mode / final replay).
-
-        The crash arming is deliberately not consulted: a replayed or
-        degraded payload must run clean, and an armed kill must never
-        take down the service process itself.
-        """
-        if kind == PAYLOAD_LANES:
-            from repro.engine.batch import run_lanes
-
-            return list(run_lanes(data))
-        scenario, protocol, settings = data
-        from repro.session.single import run_cell
-
-        return run_cell(copy.deepcopy(scenario), protocol, settings)
+    def _here(payloads, check, rerun: bool) -> Iterator[tuple]:
+        for payload in payloads:
+            payload.rerun = rerun
+        return _HERE.run(payloads, check)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -233,6 +342,12 @@ class ShardPool:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
                 self._pools[shard] = None
+
+    def __enter__(self) -> "ShardPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     def describe(self) -> dict:
         """JSON-safe pool state for the service's ``stats`` answer."""
@@ -248,18 +363,3 @@ class ShardPool:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "degraded" if self.degraded else "pooled"
         return f"ShardPool({self.shards}x{self.workers}, {mode})"
-
-
-def split_by_shard(
-    keys: Sequence[str], pool: ShardPool
-) -> List[Tuple[int, List[int]]]:
-    """Group positions by their key's routed shard, shard order stable.
-
-    A helper for lane packing: the service batches same-gather misses
-    into one lanes payload *per shard*, so the content-addressed
-    routing and the lockstep engine compose instead of competing.
-    """
-    by_shard: dict = {}
-    for index, key in enumerate(keys):
-        by_shard.setdefault(pool.shard_for(key), []).append(index)
-    return sorted(by_shard.items())

@@ -2,164 +2,262 @@
 
 :func:`execute_plan` is the single orchestration loop every entry point
 shares — :func:`~repro.experiments.runner.run_simulation` (via the
-single-cell plan), :class:`~repro.experiments.sweep.SweepExecutor` and
-the :class:`~repro.session.session.Session` facade.  It replays cached
-runs, packs the lane route into one lockstep super-batch, demotes a
-lane pack that fails at runtime to the direct path (loudly — see
-:mod:`repro.session.fallback`), hands the direct route to the supplied
-backend (process pool, serial loop), writes fresh results back to the
-cache, and accounts everything on a shared
-:class:`~repro.session.outcome.SessionStats`.
+single-cell plan), :class:`~repro.experiments.sweep.SweepExecutor`, the
+:class:`~repro.session.session.Session` facade and the
+:class:`~repro.service.service.ArbitrationService` dispatcher.  It
+replays cached runs, packs the lane route into one lockstep
+super-batch, hands every miss to one injected back end, demotes a lane
+pack that fails at runtime to per-cell payloads (loudly — see
+:mod:`repro.session.fallback`), retries a failing cell once, fills in
+dedup outcomes, writes fresh results back to the cache, and accounts
+everything on a shared :class:`~repro.session.outcome.SessionStats`.
 
-Backends are injected as callables so this module stays free of
-process-pool mechanics — and so ``SweepExecutor`` can keep resolving
-``run_lanes``/``run_simulation`` through its own module globals (which
-the differential and fault suites monkeypatch).
+A back end only runs payloads.  It is a callable taking the payloads
+and a boundary check, yielding ``(payload, result, error)`` as each
+payload finishes (in any order); it calls the check at every payload
+boundary and lets whatever the check raises propagate.
+:class:`SerialBackend` runs payloads in this process, in order;
+:meth:`repro.service.shards.ShardPool.run` runs them on process-pool
+shards and recovers from worker crashes itself.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.session.control import RunControl
 from repro.session.fallback import warn_batch_fallback
 from repro.session.outcome import (
     ROUTE_CACHE,
+    ROUTE_DEDUP,
     ROUTE_DIRECT,
     ROUTE_LANES,
+    CellFailure,
     RunOutcome,
     SessionStats,
 )
 from repro.session.planner import PlannedRun, RunPlan
-from repro.session.request import RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.cache import ResultCache
-    from repro.stats.summary import RunResult
+    from repro.service.backoff import BackoffPolicy
 
-__all__ = ["execute_plan"]
+__all__ = ["execute_plan", "Payload", "SerialBackend", "PAYLOAD_CELL", "PAYLOAD_LANES"]
 
-#: A lane backend: cells in, results in lane order.
-LaneRunner = Callable[[Sequence[tuple]], Sequence["RunResult"]]
-#: A per-cell backend: requests in, results in request order.
-DirectRunner = Callable[[Sequence[RunRequest]], Sequence["RunResult"]]
+#: Payload kinds: one simulation cell, or one lane-packed super-batch.
+PAYLOAD_CELL = "cell"
+PAYLOAD_LANES = "lanes"
+
+Done = Tuple["Payload", object, Optional[BaseException]]
+#: A back end: payloads and a boundary check in, finished payloads out.
+Backend = Callable[[Sequence["Payload"], Callable[[], None]], Iterable[Done]]
 
 
-def _default_lane_runner(cells: Sequence[tuple]) -> Sequence["RunResult"]:
+class Payload:
+    """One unit of back-end work and the planned runs it answers."""
+
+    __slots__ = ("kind", "runs", "data", "demoted", "first_error", "worker", "rerun")
+
+    def __init__(self, kind: str, runs: List[PlannedRun], demoted: bool = False) -> None:
+        self.kind = kind
+        self.runs = runs
+        #: What the engine needs: a tuple of cells, or one cell.
+        self.data = (
+            tuple(run.request.as_cell() for run in runs)
+            if kind == PAYLOAD_LANES
+            else runs[0].request.as_cell()
+        )
+        #: A cell of a lane pack that failed at runtime.
+        self.demoted = demoted
+        #: The first attempt's error, once :func:`execute_plan` retries.
+        self.first_error: Optional[str] = None
+        #: Set by a pooled back end: a worker process produced the result.
+        self.worker = False
+        #: Set by a pooled back end: it ran the payload in-process after
+        #: losing its worker (a crash or a broken pool).
+        self.rerun = False
+
+
+def _run_lanes(cells):
     from repro.engine.batch import run_lanes
 
     return run_lanes(cells)
 
 
-def _default_direct_runner(
-    requests: Sequence[RunRequest],
-    control: Optional[RunControl] = None,
-) -> List["RunResult"]:
-    """Serial per-cell execution against private scenario copies.
-
-    The cell boundary is the cancellation point: with a ``control``
-    installed, each cell re-checks the deadline/cancel flag before it
-    starts, so an expired batch stops after the current cell instead of
-    grinding through the remainder.
-    """
+def _run_cell(scenario, protocol, settings):
     from repro.session.single import run_cell
 
-    results = []
-    for request in requests:
-        if control is not None:
-            control.check()
-        scenario = copy.deepcopy(request.scenario)
-        results.append(run_cell(scenario, request.protocol, request.settings))
-    return results
+    return run_cell(scenario, protocol, settings)
+
+
+class SerialBackend:
+    """Runs payloads in this process, one after another, in order.
+
+    ``run_lanes`` and ``run_cell`` replace the engine entry points
+    (:func:`repro.engine.batch.run_lanes` and
+    :func:`repro.session.single.run_cell`, both looked up at call time).
+    Each cell runs against a private copy of its scenario, so stateful
+    distributions (trace replay) start every cell from the same
+    position, as they do across a process boundary.
+    """
+
+    def __init__(self, run_lanes: Optional[Callable] = None, run_cell: Optional[Callable] = None) -> None:
+        self._run_lanes = run_lanes or _run_lanes
+        self._run_cell = run_cell or _run_cell
+
+    def execute(self, kind: str, data):
+        """Run one payload's data here and return its result(s)."""
+        if kind == PAYLOAD_LANES:
+            return list(self._run_lanes(data))
+        scenario, protocol, settings = data
+        return self._run_cell(copy.deepcopy(scenario), protocol, settings)
+
+    def run(self, payloads: Sequence[Payload], check: Callable[[], None]) -> Iterator[Done]:
+        """The back-end protocol (see the module docstring)."""
+        for payload in payloads:
+            check()
+            try:
+                result = self.execute(payload.kind, payload.data)
+            except Exception as exc:
+                yield payload, None, exc
+            else:
+                yield payload, result, None
+
+
+def _unchecked() -> None:
+    return None
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def execute_plan(
     plan: RunPlan,
     cache: Optional["ResultCache"] = None,
     stats: Optional[SessionStats] = None,
-    lane_runner: Optional[LaneRunner] = None,
-    direct_runner: Optional[DirectRunner] = None,
+    backend: Optional[Backend] = None,
     control: Optional[RunControl] = None,
+    backoff: Optional["BackoffPolicy"] = None,
 ) -> List[RunOutcome]:
     """Run every planned cell; outcomes in plan (= request) order.
 
-    A lane pack that fails at runtime demotes its cells to the direct
-    path with one ``RuntimeWarning`` and a ``fallback_cells`` tally
-    (those cells were promised the batch engine; the direct path's
-    retry/diagnostic machinery then reports real per-cell errors).
-    Fresh results are written back to ``cache`` under their planned
-    keys.  ``stats`` accumulates across calls when the caller owns it.
+    ``backend`` runs the payloads (a :class:`SerialBackend` by
+    default).  A lane pack that fails at runtime demotes its cells to
+    per-cell payloads with one ``RuntimeWarning`` and a
+    ``fallback_cells`` tally (those cells were promised the batch
+    engine).  A cell that raises is retried once, after
+    ``backoff``'s first delay when one is given; if the retry raises
+    too, its outcome carries a :class:`CellFailure` (also appended to
+    ``stats.failures``) and no result — callers decide whether that
+    raises.  A dedup run gets its first occurrence's result or failure.
+    Fresh results are written back to ``cache`` as they arrive, under
+    their planned keys.  ``stats`` accumulates across calls when the
+    caller owns it.
 
-    ``control`` installs cooperative cancellation: it is checked before
-    each execution stage (cache replay, the lane pack, the direct
-    batch) and — when the default serial backend runs — between cells,
-    raising :class:`~repro.errors.CancelledRunError` /
-    :class:`~repro.errors.DeadlineExceededError` out of this function.
-    Outcomes already produced are lost to the caller but fresh results
-    executed before the trip are already in the cache; cancellation
-    never leaves partial state behind.
+    ``control`` installs cooperative cancellation: its ``check()`` runs
+    before any work and at every payload boundary of the back end, and
+    whatever it raises (:class:`~repro.errors.CancelledRunError` /
+    :class:`~repro.errors.DeadlineExceededError`) propagates out of
+    this function.  Results that finished before the trip are already
+    in the cache; cancellation never leaves partial state behind.
     """
     stats = stats if stats is not None else SessionStats()
-    lane_runner = lane_runner or _default_lane_runner
-    if direct_runner is None:
-        def direct_runner(requests: Sequence[RunRequest]) -> List["RunResult"]:
-            return _default_direct_runner(requests, control)
-    if control is not None:
-        control.check()
+    run = backend if backend is not None else SerialBackend().run
+    check = control.check if control is not None else _unchecked
+    check()
     outcomes: List[Optional[RunOutcome]] = [None] * len(plan.runs)
-
-    for run in plan.cached_runs:
+    for planned in plan.cached_runs:
         stats.cache_hits += 1
-        outcomes[run.index] = RunOutcome(
-            request=run.request,
-            result=run.cached,
+        outcomes[planned.index] = RunOutcome(
+            request=planned.request,
+            result=planned.cached,
             route=ROUTE_CACHE,
-            cache_key=run.key,
+            cache_key=planned.key,
         )
+    payloads = [Payload(PAYLOAD_CELL, [planned]) for planned in plan.direct_runs]
+    if plan.lane_runs:
+        payloads.insert(0, Payload(PAYLOAD_LANES, plan.lane_runs))
 
-    direct: List[Tuple[PlannedRun, bool]] = [
-        (run, False) for run in plan.direct_runs
-    ]
-    lane_runs = plan.lane_runs
-    if lane_runs:
-        if control is not None:
-            control.check()
-        try:
-            fresh = lane_runner([run.request.as_cell() for run in lane_runs])
-        except Exception as exc:
-            warn_batch_fallback(len(lane_runs), exc, stats)
-            direct.extend((run, True) for run in lane_runs)
-        else:
-            stats.batch_groups += len({run.family for run in lane_runs})
-            stats.batch_replications += len(lane_runs)
-            stats.executed += len(lane_runs)
-            for run, result in zip(lane_runs, fresh):
-                if cache is not None and run.key is not None:
-                    cache.put(run.key, result)
-                outcomes[run.index] = RunOutcome(
-                    request=run.request,
-                    result=result,
-                    route=ROUTE_LANES,
-                    cache_key=run.key,
-                    stored=cache is not None,
+    first_pass = True
+    while payloads:
+        again: List[Payload] = []
+        in_worker = False
+        for payload, result, error in run(payloads, check):
+            in_worker = in_worker or payload.worker
+            if payload.rerun:
+                stats.retries += len(payload.runs)
+            if error is None:
+                lane_pack = payload.kind == PAYLOAD_LANES
+                results = result if lane_pack else [result]
+                for planned, fresh in zip(payload.runs, results):
+                    if cache is not None:
+                        cache.put(planned.key, fresh)
+                    outcomes[planned.index] = RunOutcome(
+                        request=planned.request,
+                        result=fresh,
+                        route=ROUTE_LANES if lane_pack else ROUTE_DIRECT,
+                        cache_key=planned.key,
+                        stored=cache is not None,
+                        fallback=payload.demoted,
+                    )
+                stats.executed += len(payload.runs)
+                if lane_pack:
+                    stats.batch_groups += len({planned.family for planned in payload.runs})
+                    stats.batch_replications += len(payload.runs)
+                continue
+            if payload.kind == PAYLOAD_LANES:
+                warn_batch_fallback(len(payload.runs), error, stats)
+                again.extend(
+                    Payload(PAYLOAD_CELL, [planned], demoted=True) for planned in payload.runs
                 )
-
-    if direct:
-        if control is not None:
-            control.check()
-        direct.sort(key=lambda entry: entry[0].index)
-        fresh = direct_runner([run.request for run, _ in direct])
-        for (run, demoted), result in zip(direct, fresh):
-            if cache is not None and run.key is not None:
-                cache.put(run.key, result)
-            outcomes[run.index] = RunOutcome(
-                request=run.request,
-                result=result,
-                route=ROUTE_DIRECT,
-                cache_key=run.key,
-                stored=cache is not None,
-                fallback=demoted,
+                continue
+            planned = payload.runs[0]
+            if payload.first_error is None:
+                # One retry: it either reproduces a genuine error or heals
+                # a transient one; the pacing is deterministic per cell.
+                payload.first_error = _describe(error)
+                payload.rerun = payload.worker = False
+                stats.retries += 1
+                if backoff is not None:
+                    tag = planned.request.tag
+                    backoff.sleep(0, token=tag if tag is not None else str(planned.index))
+                again.append(payload)
+                continue
+            failure = CellFailure(
+                index=planned.index,
+                tag=planned.request.tag,
+                protocol=planned.request.protocol,
+                scenario=planned.request.scenario.name,
+                error=_describe(error),
+                first_error=payload.first_error,
             )
-        stats.executed += len(direct)
-    return [outcome for outcome in outcomes if outcome is not None]
+            stats.failures.append(failure)
+            outcomes[planned.index] = RunOutcome(
+                request=planned.request,
+                result=None,
+                route=ROUTE_DIRECT,
+                cache_key=planned.key,
+                fallback=payload.demoted,
+                failure=failure,
+            )
+        if first_pass:
+            first_pass = False
+            if in_worker:
+                stats.parallel_batches += 1
+            else:
+                stats.serial_batches += 1
+        payloads = again
+
+    for planned in plan.by_route(ROUTE_DEDUP):
+        stats.deduplicated += 1
+        first = outcomes[planned.first]
+        outcomes[planned.index] = RunOutcome(
+            request=planned.request,
+            result=first.result,
+            route=ROUTE_DEDUP,
+            cache_key=planned.key,
+            failure=first.failure,
+        )
+    return outcomes  # type: ignore[return-value]  # every slot is filled

@@ -10,9 +10,8 @@ runtime batch→event fallback flag and, for a cell whose retry failed
 too, its :class:`CellFailure` diagnostics.
 
 :class:`SessionStats` is the execution accounting every orchestration
-entry point shares; :class:`~repro.experiments.sweep.SweepExecutor`
-exposes it as ``stats`` (its historical ``SweepStats`` name remains an
-alias).
+entry point shares (``stats`` on a session, a sweep executor or the
+service).
 """
 
 from __future__ import annotations
@@ -78,7 +77,8 @@ class SessionStats:
     cache_hits: int = 0
     parallel_batches: int = 0
     serial_batches: int = 0
-    #: Cells re-run after their first attempt raised.
+    #: Cells re-run after their first attempt raised (or after the
+    #: process pool lost them).
     retries: int = 0
     #: Per-cell diagnostics for cells whose retry failed too.
     failures: List[CellFailure] = field(default_factory=list)
@@ -92,24 +92,9 @@ class SessionStats:
     #: not counted — they were never promised the batch engine.  The
     #: fault-free differential suite asserts this stays zero.
     fallback_cells: int = 0
-    #: Requests answered by another identical request of the same gather
-    #: (the :class:`~repro.session.session.Session` dedup path; sweeps
-    #: never dedup, their grids are already unique).
+    #: Requests answered by another identical request of the same plan
+    #: (the planner's ``dedup`` route).
     deduplicated: int = 0
-
-    def snapshot(self) -> "SessionStats":
-        return SessionStats(
-            self.executed,
-            self.cache_hits,
-            self.parallel_batches,
-            self.serial_batches,
-            self.retries,
-            list(self.failures),
-            self.batch_groups,
-            self.batch_replications,
-            self.fallback_cells,
-            self.deduplicated,
-        )
 
 
 @dataclass(frozen=True)
@@ -124,8 +109,8 @@ class RunOutcome:
     result:
         The run's :class:`~repro.stats.summary.RunResult`; ``None``
         only when the run failed terminally (then ``failure`` says why
-        — the orchestration entry points raise before returning such
-        outcomes, so callers normally never observe ``None``).
+        — :class:`~repro.experiments.sweep.SweepExecutor` raises and
+        the service fails the job instead of returning such outcomes).
     route:
         How the result was obtained: ``"cache"`` (replayed from the
         content-addressed store), ``"lanes"`` (a lane of one lockstep
@@ -133,8 +118,8 @@ class RunOutcome:
         use the batch engine for a single cell), or ``"dedup"``
         (answered by an identical request of the same gather).
     cache_key:
-        The request's epoch-6 content hash, when a cache was consulted
-        (or dedup needed an identity); ``None`` otherwise.
+        The request's epoch-6 content hash (``None`` only for outcomes
+        built outside the planner).
     stored:
         True when this outcome executed fresh and was written back to
         the cache.

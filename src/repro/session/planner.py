@@ -6,8 +6,14 @@ For every :class:`~repro.session.request.RunRequest` it
 - resolves defaults and applies an optional engine override (which
   never changes cache keys — the engine selector is not part of a
   cell's identity, epoch 6);
+- hashes the resolved request exactly once (its epoch-6 content key);
+- deduplicates: a request whose key already appeared earlier in the
+  same plan takes the ``dedup`` route and points at that first
+  occurrence, so identical requests run once however many clients
+  asked for them;
 - consults the content-addressed
-  :class:`~repro.experiments.cache.ResultCache`, when one is given;
+  :class:`~repro.experiments.cache.ResultCache`, when one is given,
+  under the same key;
 - classifies the remaining runs by route: batch-capable
   ``engine="batch"`` cells without JSONL telemetry become lanes of one
   lockstep super-batch (:func:`repro.engine.batch.run_lanes` packs
@@ -24,11 +30,11 @@ pools, serial loops) stay out of the decision layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import batch_capable, kernel_family
 from repro.errors import ConfigurationError
-from repro.session.outcome import ROUTE_CACHE, ROUTE_DIRECT, ROUTE_LANES
+from repro.session.outcome import ROUTE_CACHE, ROUTE_DEDUP, ROUTE_DIRECT, ROUTE_LANES
 from repro.session.request import RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -67,14 +73,18 @@ class PlannedRun:
     index: int
     #: The resolved request (defaults filled, engine override applied).
     request: RunRequest
-    #: ``"cache"``, ``"lanes"`` or ``"direct"`` (see the module docstring).
+    #: ``"cache"``, ``"lanes"``, ``"direct"`` or ``"dedup"`` (see the
+    #: module docstring).
     route: str
-    #: The epoch-6 content hash, when a cache was consulted.
-    key: Optional[str] = None
+    #: The request's epoch-6 content hash.
+    key: str
     #: The replayed result, for ``route == "cache"``.
     cached: Optional["RunResult"] = None
     #: The lockstep kernel family, for ``route == "lanes"``.
     family: Optional[str] = None
+    #: The index of the identical request this one repeats, for
+    #: ``route == "dedup"``.
+    first: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -119,14 +129,20 @@ def plan_runs(
     Requests are planned in order; the plan's indices are positions in
     ``requests``.  ``engine`` (validated against :data:`ENGINES`)
     overrides every request's own declaration; ``None`` respects them.
+    Each request is hashed once; a repeat of an earlier key becomes a
+    ``dedup`` run and never reaches the cache or an engine.
     """
     engine = normalize_engine(engine)
     runs: List[PlannedRun] = []
+    first_by_key: Dict[str, int] = {}
     for index, request in enumerate(requests):
         resolved = request.resolved(engine)
-        key: Optional[str] = None
+        key = resolved.cache_key()
+        first = first_by_key.setdefault(key, index)
+        if first != index:
+            runs.append(PlannedRun(index, resolved, ROUTE_DEDUP, key=key, first=first))
+            continue
         if cache is not None:
-            key = resolved.cache_key()
             hit = cache.get(key)
             if hit is not None:
                 runs.append(

@@ -18,12 +18,15 @@ pools where the platform allows and the serial path everywhere else:
 """
 
 import pickle
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SimulationSettings
+from repro.service import shards as shards_module
 from repro.service import (
     AdmissionController,
     ArbitrationService,
@@ -309,6 +312,67 @@ class TestCrashRecovery:
         )
         for mine, theirs in zip(job.outcomes, clean):
             assert pickle.dumps(mine.result) == pickle.dumps(theirs.result)
+
+
+class _StrandingPool:
+    """A stand-in process pool: every future of the first pool built
+    fails as if its worker died; the futures of every later pool never
+    resolve, not even after shutdown — futures that outlive their pool."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.crashing = not _StrandingPool.built
+        _StrandingPool.built.append(self)
+
+    def submit(self, fn, *args):
+        future = Future()
+        if self.crashing:
+            future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestDegradationDrainsEveryShard:
+    def test_futures_that_outlive_their_pool_still_finish_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        # Degrading must answer the pending futures of every shard, not
+        # only the crashed one: a future of another shard that never
+        # resolves may not keep the job ``running``.
+        monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _StrandingPool)
+        monkeypatch.setattr(_StrandingPool, "built", [])
+        requests = [_request(seed=s, engine="event") for s in range(6)]
+        with _service(tmp_path, shards=2, workers=1, max_respawns=0) as service:
+            job = service.submit(requests)
+            assert job.wait(30), "job stranded behind a future of a degraded pool"
+            assert job.state == "done", job.error
+            assert service.pool.degraded
+        assert len(_StrandingPool.built) == 2  # both shards had work pending
+        clean = Session().run_requests(requests)
+        for mine, theirs in zip(job.outcomes, clean):
+            assert pickle.dumps(mine.result) == pickle.dumps(theirs.result)
+
+
+class TestOneHashPerRequest:
+    def test_dispatch_hashes_each_request_once(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        real = RunRequest.cache_key
+
+        def counting(self):
+            calls["n"] += 1
+            return real(self)
+
+        requests = [_request(seed=s) for s in range(3)] + [_request(seed=0)]
+        monkeypatch.setattr(RunRequest, "cache_key", counting)
+        with _service(tmp_path, serial=True) as service:
+            job = service.submit(requests)
+            assert job.wait(60)
+            assert job.state == "done", job.error
+        assert calls["n"] == len(requests)
+        assert [outcome.route for outcome in job.outcomes] == ["lanes"] * 3 + ["dedup"]
 
 
 class TestFailureDiagnostics:

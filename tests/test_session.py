@@ -23,6 +23,7 @@ from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.sweep import SweepExecutor
 from repro.observability import TelemetrySettings
 from repro.session import (
+    RunPlan,
     RunRequest,
     Session,
     batch_fallback_message,
@@ -30,6 +31,7 @@ from repro.session import (
     normalize_engine,
     plan_runs,
 )
+from repro.session.execute import SerialBackend
 from repro.session.outcome import (
     ROUTE_CACHE,
     ROUTE_DEDUP,
@@ -155,7 +157,12 @@ class TestExecutePlan:
             RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, engine="event")),
         ]
         stats = SessionStats()
-        outcomes = execute_plan(plan_runs(requests, cache=cache), cache=cache, stats=stats)
+        # Under epoch 6 the two requests share one key, so one plan would
+        # dedup them; each is planned alone and both run in one plan.
+        (lane_run,) = plan_runs(requests[:1], cache=cache).runs
+        (direct_run,) = plan_runs(requests[1:], cache=cache).runs
+        plan = RunPlan((lane_run, replace(direct_run, index=1)))
+        outcomes = execute_plan(plan, cache=cache, stats=stats)
         assert [outcome.route for outcome in outcomes] == [ROUTE_LANES, ROUTE_DIRECT]
         for outcome in outcomes:
             assert outcome.stored
@@ -192,7 +199,9 @@ class TestExecutePlan:
         stats = SessionStats()
         with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
             outcomes = execute_plan(
-                plan_runs(requests), stats=stats, lane_runner=broken_lanes
+                plan_runs(requests),
+                stats=stats,
+                backend=SerialBackend(run_lanes=broken_lanes).run,
             )
         assert [outcome.route for outcome in outcomes] == [ROUTE_DIRECT] * 2
         assert all(outcome.fallback for outcome in outcomes)
@@ -321,6 +330,35 @@ class TestSessionFacade:
         session = Session(executor=executor)
         assert session.executor is executor
         assert session.stats is executor.stats
+
+
+def _count_cache_keys(monkeypatch):
+    calls = {"n": 0}
+    real = RunRequest.cache_key
+
+    def counting(self):
+        calls["n"] += 1
+        return real(self)
+
+    monkeypatch.setattr(RunRequest, "cache_key", counting)
+    return calls
+
+
+class TestOneHashPerRequest:
+    def test_cached_gather_hashes_each_request_once(self, tmp_path, monkeypatch):
+        calls = _count_cache_keys(monkeypatch)
+        requests = [
+            RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed))
+            for seed in (1, 2, 3)
+        ]
+        requests.append(requests[0])  # a duplicate is hashed once too
+        cold = Session(cache=ResultCache(tmp_path)).run_requests(requests)
+        assert [outcome.route for outcome in cold] == [ROUTE_LANES] * 3 + [ROUTE_DEDUP]
+        assert calls["n"] == len(requests)
+        calls["n"] = 0
+        warm = Session(cache=ResultCache(tmp_path)).run_requests(requests)
+        assert [outcome.route for outcome in warm] == [ROUTE_CACHE] * 3 + [ROUTE_DEDUP]
+        assert calls["n"] == len(requests)
 
 
 class TestCliValidation:

@@ -233,7 +233,7 @@ class TestRunControl:
         assert control.remaining() > 0
 
     def test_cancellation_at_a_cell_boundary_mid_batch(self):
-        # The serial direct runner checks the control between cells: a
+        # The serial back end checks the control between cells: a
         # control that trips after the first cell stops the batch there.
         fired = {"cells": 0}
         clock_now = time.monotonic()
@@ -250,20 +250,18 @@ class TestRunControl:
             RunRequest(_scenario(), "fcfs", EVENT_SETTINGS),
         ]
 
-        def counting_runner(batch):
-            results = []
-            for request in batch:
-                control.check()
-                fired["cells"] += 1
-                from repro.session.single import run_cell
+        def counting_cell(scenario, protocol, settings):
+            fired["cells"] += 1
+            from repro.session.single import run_cell
 
-                results.append(
-                    run_cell(request.scenario, request.protocol, request.settings)
-                )
-            return results
+            return run_cell(scenario, protocol, settings)
+
+        from repro.session.execute import SerialBackend
 
         with pytest.raises(DeadlineExceededError):
             execute_plan(
-                plan_runs(requests), direct_runner=counting_runner, control=control
+                plan_runs(requests),
+                backend=SerialBackend(run_cell=counting_cell).run,
+                control=control,
             )
         assert fired["cells"] == 1  # second cell never started

@@ -18,6 +18,7 @@ from repro.experiments import sweep as sweep_module
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.sweep import SweepCell, SweepExecutor, resolve_jobs
+from repro.service import shards as shards_module
 from repro.signals.contention import ParallelContention
 from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load
 from repro.workload.traces import TraceDistribution
@@ -121,6 +122,9 @@ class _BrokenSubmitPool:
     def __exit__(self, *exc_info):
         return False
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
     def submit(self, *args, **kwargs):
         from concurrent.futures import BrokenExecutor
 
@@ -178,7 +182,7 @@ class TestRetryAndDegradation:
 
     def test_broken_pool_degrades_to_serial_retries(self, monkeypatch):
         monkeypatch.setattr(
-            sweep_module, "ProcessPoolExecutor", _BrokenSubmitPool
+            shards_module, "ProcessPoolExecutor", _BrokenSubmitPool
         )
         cells = _grid(settings=EVENT_SETTINGS)
         executor = SweepExecutor(jobs=2)
@@ -192,7 +196,7 @@ class TestRetryAndDegradation:
         assert executor.stats.failures == []
 
     def test_unconstructible_pool_falls_back_to_plain_serial(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _UnavailablePool)
+        monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _UnavailablePool)
         cells = _grid(settings=EVENT_SETTINGS)
         executor = SweepExecutor(jobs=2)
         results = executor.run(cells)
