@@ -52,7 +52,7 @@ experiments:
 	$(PYTHON) scripts/append_extension_tables.py
 
 apidocs:
-	$(PYTHON) scripts/generate_api_docs.py
+	PYTHONPATH=src $(PYTHON) scripts/generate_api_docs.py
 
 # Serve the arbitration service on a local AF_UNIX socket (override the
 # path with REPRO_SERVICE_SOCKET or `-- --socket PATH`); submit work

@@ -6,14 +6,20 @@ docstring's first paragraph plus each public class/function signature
 and summary line, and writes a single browsable markdown page.  Run
 after any API change:
 
-    python scripts/generate_api_docs.py
+    PYTHONPATH=src python scripts/generate_api_docs.py [--check]
+
+``--check`` writes nothing: it prints a unified diff and exits 1 when
+the committed ``docs/api.md`` differs from what would be generated.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import repro
@@ -76,7 +82,8 @@ def _document_class(name, cls, out):
         out.append("")
 
 
-def main() -> None:
+def render() -> str:
+    """The full text of the API reference page."""
     out = [
         "# API reference",
         "",
@@ -110,9 +117,35 @@ def main() -> None:
                         f"#### `{name}{_signature(member)}`\n"
                     )
                     out.append(_first_paragraph(inspect.getdoc(member)) + "\n")
-    OUT.write_text("\n".join(out) + "\n", encoding="utf-8")
-    print(f"wrote {OUT} ({len(out)} blocks)")
+    return "\n".join(out) + "\n"
+
+
+def main(argv=()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; print a diff and exit 1 if docs/api.md is stale",
+    )
+    args = parser.parse_args(argv)
+    text = render()
+    if args.check:
+        committed = OUT.read_text(encoding="utf-8") if OUT.exists() else ""
+        if committed == text:
+            return 0
+        sys.stdout.writelines(
+            difflib.unified_diff(
+                committed.splitlines(keepends=True),
+                text.splitlines(keepends=True),
+                fromfile="docs/api.md (committed)",
+                tofile="docs/api.md (generated)",
+            )
+        )
+        return 1
+    OUT.write_text(text, encoding="utf-8")
+    print(f"wrote {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

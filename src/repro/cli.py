@@ -459,7 +459,7 @@ def _make_session(args) -> Session:
     """One session per invocation: every subcommand routes through it.
 
     ``--jobs``, ``--cache``/``--cache-dir`` and ``--engine`` configure
-    the session's executor backend; ``engine=None`` respects each
+    the session; ``engine=None`` respects each
     cell's own declaration, while an explicit ``--engine`` (validated
     by argparse against the known engines) overrides every cell,
     reaching the grids that build their settings internally.

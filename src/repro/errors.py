@@ -65,7 +65,7 @@ class NoUniqueWinnerError(ArbitrationError):
 class SweepExecutionError(ReproError):
     """A sweep cell failed to execute even after being retried.
 
-    Carries the per-cell diagnostics collected by the sweep executor so
+    Carries the per-cell diagnostics collected by the session so
     a failed grid names exactly which cells died and why.
     """
 

@@ -1,17 +1,16 @@
-"""Sweep execution over independent simulation cells.
+"""Worker-count policy and the in-process engine seams of a gather.
 
 The paper's evaluation is a grid: every table cell is one independent
 ``(scenario, protocol, settings)`` simulation, and nothing couples the
 cells — each derives all of its randomness from its own settings seed.
-*What* to run is decided by the session layer —
-:func:`repro.session.planner.plan_runs` resolves engine choice, dedup,
-lane packing and cache lookup; :func:`repro.session.execute.execute_plan`
-drives the plan, retries failing cells and writes results back.  A
-:class:`SweepExecutor` only picks the back end: in-process
-(:class:`~repro.session.execute.SerialBackend`, the engine entry points
-resolved through this module) or, for ``jobs > 1`` and more than one
-per-cell run, a one-shard :class:`~repro.service.shards.ShardPool` with
-``jobs`` workers.
+A :class:`~repro.session.session.Session` gather plans such a grid
+(:func:`~repro.session.planner.plan_runs`) and executes it
+(:func:`~repro.session.execute.execute_plan`) through the names this
+module holds, looked up here at call time: ``plan_runs``,
+``execute_plan``, and the engine entry points ``run_lanes`` and
+``run_simulation`` behind :data:`SERIAL`.  The differential, fault and
+retry suites monkeypatch the last two; the benchmark's tracer wraps
+all four.
 
 Determinism guarantees (the common-random-numbers discipline the paper's
 protocol comparisons depend on):
@@ -30,26 +29,16 @@ protocol comparisons depend on):
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Optional
 
 from repro.engine.batch import run_lanes
-from repro.errors import ConfigurationError, SweepExecutionError
-from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.observability.metrics import MetricsRegistry, merge_metrics
+from repro.errors import ConfigurationError
+from repro.experiments.runner import run_simulation
 from repro.service.backoff import BackoffPolicy
-from repro.service.shards import ShardPool
-from repro.session.control import RunControl
-from repro.session.execute import Backend, SerialBackend, execute_plan
-from repro.session.outcome import ROUTE_DEDUP, CellFailure, RunOutcome, SessionStats
-from repro.session.planner import RunPlan, normalize_engine, plan_runs
-from repro.session.request import RunRequest
-from repro.stats.summary import RunResult
-from repro.workload.scenarios import ScenarioSpec
+from repro.session.execute import SerialBackend, execute_plan  # noqa: F401 - gather seam
+from repro.session.planner import plan_runs  # noqa: F401 - gather seam
 
-__all__ = ["SweepCell", "CellFailure", "SweepExecutor", "default_jobs", "RETRY_BACKOFF"]
+__all__ = ["default_jobs", "resolve_jobs", "RETRY_BACKOFF", "SERIAL"]
 
 #: Default retry pacing: a deterministic, seeded, capped exponential
 #: with jitter (see :mod:`repro.service.backoff`) shared with the
@@ -85,21 +74,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One independent simulation in a sweep grid."""
-
-    scenario: ScenarioSpec
-    protocol: str
-    settings: SimulationSettings
-    #: Caller's label for the cell (e.g. ``"load=1.50/rr"``); carried
-    #: through untouched for diagnostics.
-    tag: Optional[str] = None
-
-
-# The in-process engine entry points resolve through this module's
-# globals at call time: the differential, fault and retry suites
-# monkeypatch ``sweep.run_lanes`` and ``sweep.run_simulation``.
 def _call_run_lanes(cells):
     return run_lanes(cells)
 
@@ -108,137 +82,6 @@ def _call_run_simulation(scenario, protocol, settings):
     return run_simulation(scenario, protocol, settings)
 
 
-_SERIAL = SerialBackend(run_lanes=_call_run_lanes, run_cell=_call_run_simulation)
-
-
-class SweepExecutor:
-    """Runs sweep cells, caching results and fanning out over processes.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes.  ``1`` (the default via ``$REPRO_JOBS``) runs
-        serially in-process; ``0`` means one per CPU core.  Where
-        process pools are unavailable (restricted environments, missing
-        ``fork``/spawn support) the pool degrades to serial execution,
-        so callers never need two code paths.
-    cache:
-        Optional :class:`ResultCache`.  When set, every cell is looked
-        up before execution and every executed cell is stored after.
-    engine:
-        Optional engine override applied to every cell's settings (the
-        CLI's ``--engine`` reaches experiment grids that build their
-        settings internally this way).  ``None`` leaves each cell's own
-        declaration alone.  The override never changes cache keys — the
-        engine selector is not part of a cell's identity (epoch 6) —
-        and cells outside the batch domain still fall back to the event
-        engine per cell.
-    backoff:
-        Retry pacing for failed cells (and respawn pacing for the
-        pool): the deterministic jittered exponential of
-        :data:`RETRY_BACKOFF` by default.  Tests (and callers that must
-        never sleep) pass :meth:`BackoffPolicy.none() <repro.service.
-        backoff.BackoffPolicy.none>`.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        engine: Optional[str] = None,
-        backoff: Optional[BackoffPolicy] = None,
-    ) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self.cache = cache
-        self.engine = normalize_engine(engine)
-        self.backoff = backoff if backoff is not None else RETRY_BACKOFF
-        self.stats = SessionStats()
-
-    # -- public API -----------------------------------------------------------
-
-    def run(self, cells: Sequence[SweepCell]) -> List[RunResult]:
-        """Execute (or replay) every cell; results in cell order."""
-        outcomes = self.run_requests(
-            [
-                RunRequest(cell.scenario, cell.protocol, cell.settings, tag=cell.tag)
-                for cell in cells
-            ]
-        )
-        return [outcome.result for outcome in outcomes]
-
-    def run_requests(
-        self,
-        requests: Sequence[RunRequest],
-        control: Optional[RunControl] = None,
-    ) -> List[RunOutcome]:
-        """Plan and execute a request batch; outcomes in request order.
-
-        The session layer decides and runs everything (see
-        :func:`repro.session.planner.plan_runs` and
-        :func:`repro.session.execute.execute_plan`); ``control`` adds
-        cooperative cancellation/deadline checks at payload boundaries.
-        Raises :class:`~repro.errors.SweepExecutionError` naming every
-        cell whose retry failed too.
-        """
-        plan = plan_runs(requests, cache=self.cache, engine=self.engine)
-        with self._backend(plan) as backend:
-            outcomes = execute_plan(
-                plan,
-                cache=self.cache,
-                stats=self.stats,
-                backend=backend,
-                control=control,
-                backoff=self.backoff,
-            )
-        failures = [
-            outcome.failure
-            for outcome in outcomes
-            if outcome.failure is not None and outcome.route != ROUTE_DEDUP
-        ]
-        if failures:
-            details = "; ".join(str(failure) for failure in failures)
-            raise SweepExecutionError(
-                f"{len(failures)} sweep cell(s) failed after retry: {details}"
-            )
-        return outcomes
-
-    @contextmanager
-    def _backend(self, plan: RunPlan) -> Iterator[Backend]:
-        """A pool for more than one per-cell run when ``jobs > 1``;
-        in-process otherwise (one cell, or lanes alone, gain nothing
-        from a pool's start-up)."""
-        cells = len(plan.direct_runs)
-        if self.jobs < 2 or cells < 2:
-            yield _SERIAL.run
-            return
-        workers = min(self.jobs, cells + bool(plan.lane_runs))
-        with ShardPool(shards=1, workers=workers, backoff=self.backoff) as pool:
-            yield pool.run
-
-    def simulate(
-        self,
-        scenario: ScenarioSpec,
-        protocol: str,
-        settings: SimulationSettings,
-    ) -> RunResult:
-        """Single-cell convenience wrapper around :meth:`run`."""
-        return self.run([SweepCell(scenario, protocol, settings)])[0]
-
-    @staticmethod
-    def merged_metrics(results: Sequence[RunResult]) -> MetricsRegistry:
-        """One registry folding every telemetry-enabled cell's metrics.
-
-        Cells are merged in result (= grid declaration) order, so the
-        reduction is deterministic; cells run without
-        ``telemetry.metrics`` contribute nothing.  Parallel and serial
-        sweeps merge to identical registries because each cell's
-        registry depends only on that cell's inputs.
-        """
-        return merge_metrics(result.metrics for result in results)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cache = "on" if self.cache is not None else "off"
-        return (
-            f"SweepExecutor(jobs={self.jobs}, cache={cache}, "
-            f"executed={self.stats.executed}, hits={self.stats.cache_hits})"
-        )
+#: The in-process back end of every gather, calling ``run_lanes`` and
+#: ``run_simulation`` through this module's globals.
+SERIAL = SerialBackend(run_lanes=_call_run_lanes, run_cell=_call_run_simulation)

@@ -1,7 +1,7 @@
 """Deterministic jittered exponential backoff, shared by every retrier.
 
 Two layers retry failed work and both must do it *deterministically*:
-the sweep executor's per-cell retry (:mod:`repro.experiments.sweep`)
+a session's per-cell retry (:class:`repro.session.session.Session`)
 and the service's worker-crash respawn/replay loop
 (:mod:`repro.service.shards`).  A :class:`BackoffPolicy` gives them one
 vocabulary: exponential growth from ``base`` by ``multiplier`` per

@@ -30,9 +30,9 @@ state, liveness under contention, graceful degradation:
   :class:`~repro.observability.sinks.EventSink` protocol the simulation
   events use.
 
-The service also satisfies the ``Session``/``SweepExecutor`` executor
-duck type (``run_requests`` / ``simulate``), so an experiment grid can
-be pointed at a running service unchanged.
+The service also exposes a :class:`~repro.session.session.Session`'s
+``run_requests`` / ``simulate`` pair, so an experiment grid can be
+pointed at a running service unchanged.
 """
 
 from __future__ import annotations
@@ -230,11 +230,7 @@ class ArbitrationService:
             max_replays=self.config.max_replays,
             poll_interval=self.config.poll_interval,
         )
-        #: Executor duck type: a service never overrides cell engines
-        #: (the planner respects each request's own declaration), and it
-        #: keeps the same :class:`SessionStats` accounting every other
-        #: orchestrator exposes, so ``Session(executor=service)`` works.
-        self.engine: Optional[str] = None
+        #: The same :class:`SessionStats` accounting a session keeps.
         self.stats = SessionStats()
         self._owns_sink = False
         if sink is None and self.config.jsonl_path is not None:
@@ -409,9 +405,9 @@ class ArbitrationService:
     ) -> List[RunOutcome]:
         """Submit one job for ``requests`` and block for its outcomes.
 
-        Satisfies the executor duck type the experiment grids accept,
-        so a grid can run against a service (shared cache, sharded
-        pool) unchanged.  Raises on any non-``done`` terminal state.
+        The same call a :class:`~repro.session.session.Session`
+        answers, so a grid can run against a service (shared cache,
+        sharded pool) unchanged.  Raises on any non-``done`` terminal state.
         """
         deadline = None
         if control is not None and control.remaining() is not None:

@@ -2,8 +2,8 @@
 
 :class:`ShardPool` is the repository's one process pool: the service
 runs every dispatch on it, and a
-:class:`~repro.experiments.sweep.SweepExecutor` with ``jobs > 1`` runs
-its grid on a one-shard pool.  It is a small fleet of independent
+:class:`~repro.session.session.Session` with ``jobs > 1`` runs its
+grid on a one-shard pool.  It is a small fleet of independent
 :class:`~concurrent.futures.ProcessPoolExecutor` shards.  Work routes
 to a shard by the cell's epoch-6 content hash, so one crashing payload
 can only take down the futures of its own shard — the blast radius the

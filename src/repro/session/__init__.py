@@ -2,9 +2,8 @@
 
 The session layer is the single place engine selection, lane packing,
 cache lookup and graceful degradation are decided.  Every entry point —
-:func:`~repro.experiments.runner.run_simulation`, the
-:class:`~repro.experiments.sweep.SweepExecutor` backends, the
-robustness grid, all experiment tables and the CLI — routes through it:
+:func:`~repro.experiments.runner.run_simulation`, the robustness grid,
+all experiment tables, the CLI and the service — routes through it:
 
 - :class:`RunRequest` (:mod:`repro.session.request`): one requested
   simulation — scenario, protocol, settings, tag — with a
@@ -20,8 +19,8 @@ robustness grid, all experiment tables and the CLI — routes through it:
   (:mod:`repro.session.fallback`) and :class:`CellFailure`
   degradation;
 - :class:`Session` (:mod:`repro.session.session`): the synchronous
-  submit/gather facade with cross-request dedup, the seam the future
-  service front end wraps.
+  orchestrator — submit/gather, cache, engine override, retry pacing
+  and an in-process or pooled back end.
 
 The layering rule: this package never imports
 :mod:`repro.experiments` at module level (the experiments package

@@ -1,15 +1,15 @@
 """Execute a :class:`~repro.session.planner.RunPlan`.
 
-:func:`execute_plan` is the single orchestration loop every entry point
-shares — :func:`~repro.experiments.runner.run_simulation` (via the
-single-cell plan), :class:`~repro.experiments.sweep.SweepExecutor`, the
-:class:`~repro.session.session.Session` facade and the
-:class:`~repro.service.service.ArbitrationService` dispatcher.  It
+:func:`execute_plan` is the single orchestration loop both
+orchestrators share — the :class:`~repro.session.session.Session` and
+the :class:`~repro.service.service.ArbitrationService` dispatcher.
+(:func:`~repro.experiments.runner.run_simulation` runs one cell without
+a plan: it calls :func:`~repro.session.single.run_cell` directly.)  It
 replays cached runs, packs the lane route into one lockstep
 super-batch, hands every miss to one injected back end, demotes a lane
-pack that fails at runtime to per-cell payloads (loudly — see
-:mod:`repro.session.fallback`), retries a failing cell once, fills in
-dedup outcomes, writes fresh results back to the cache, and accounts
+pack that fails at runtime to per-cell event-engine payloads (loudly —
+see :mod:`repro.session.fallback`), retries a failing cell once, fills
+in dedup outcomes, writes fresh results back to the cache, and accounts
 everything on a shared :class:`~repro.session.outcome.SessionStats`.
 
 A back end only runs payloads.  It is a callable taking the payloads
@@ -32,7 +32,6 @@ from repro.session.outcome import (
     ROUTE_CACHE,
     ROUTE_DEDUP,
     ROUTE_DIRECT,
-    ROUTE_LANES,
     CellFailure,
     RunOutcome,
     SessionStats,
@@ -62,11 +61,13 @@ class Payload:
     def __init__(self, kind: str, runs: List[PlannedRun], demoted: bool = False) -> None:
         self.kind = kind
         self.runs = runs
-        #: What the engine needs: a tuple of cells, or one cell.
+        #: What the engine needs: a tuple of cells, or one cell (on the
+        #: event engine once demoted, as its fallback warning says).
+        request = runs[0].request
         self.data = (
             tuple(run.request.as_cell() for run in runs)
             if kind == PAYLOAD_LANES
-            else runs[0].request.as_cell()
+            else (request.resolved("event") if demoted else request).as_cell()
         )
         #: A cell of a lane pack that failed at runtime.
         self.demoted = demoted
@@ -144,14 +145,15 @@ def execute_plan(
     """Run every planned cell; outcomes in plan (= request) order.
 
     ``backend`` runs the payloads (a :class:`SerialBackend` by
-    default).  A lane pack that fails at runtime demotes its cells to
-    per-cell payloads with one ``RuntimeWarning`` and a
-    ``fallback_cells`` tally (those cells were promised the batch
-    engine).  A cell that raises is retried once, after
-    ``backoff``'s first delay when one is given; if the retry raises
-    too, its outcome carries a :class:`CellFailure` (also appended to
-    ``stats.failures``) and no result — callers decide whether that
-    raises.  A dedup run gets its first occurrence's result or failure.
+    default).  A lane pack that fails at runtime — a shared pack, or
+    the one-cell pack of a direct run promised the batch engine —
+    demotes its cells to per-cell event-engine payloads with one
+    ``RuntimeWarning``, a ``fallback_cells`` tally on ``stats`` and a
+    ``fallback`` flag on their outcomes.  A cell that raises is retried
+    once, after ``backoff``'s first delay when one is given; if the
+    retry raises too, its outcome carries a :class:`CellFailure` (also
+    appended to ``stats.failures``) and no result — callers decide
+    whether that raises.  A dedup run gets its first occurrence's result or failure.
     Fresh results are written back to ``cache`` as they arrive, under
     their planned keys.  ``stats`` accumulates across calls when the
     caller owns it.
@@ -176,7 +178,12 @@ def execute_plan(
             route=ROUTE_CACHE,
             cache_key=planned.key,
         )
-    payloads = [Payload(PAYLOAD_CELL, [planned]) for planned in plan.direct_runs]
+    # A direct run promised the batch engine is a lane pack of its own,
+    # so a runtime kernel failure demotes it like any other pack.
+    payloads = [
+        Payload(PAYLOAD_CELL if planned.family is None else PAYLOAD_LANES, [planned])
+        for planned in plan.direct_runs
+    ]
     if plan.lane_runs:
         payloads.insert(0, Payload(PAYLOAD_LANES, plan.lane_runs))
 
@@ -197,7 +204,7 @@ def execute_plan(
                     outcomes[planned.index] = RunOutcome(
                         request=planned.request,
                         result=fresh,
-                        route=ROUTE_LANES if lane_pack else ROUTE_DIRECT,
+                        route=ROUTE_DIRECT if payload.demoted else planned.route,
                         cache_key=planned.key,
                         stored=cache is not None,
                         fallback=payload.demoted,

@@ -3,8 +3,8 @@
 Two kinds of cells reach the event path instead of the batch engine:
 
 - **statically out-of-domain** cells (no batch kernel, an
-  ``engine="event"`` declaration, JSONL telemetry in a lane pack,
-  out-of-domain fault kinds, ``max_events`` caps).  These were never
+  ``engine="event"`` declaration, out-of-domain fault kinds,
+  ``max_events`` caps).  These were never
   promised the batch engine; the planner routes them silently.
 - **runtime degradations**: cells the planner *did* route to the batch
   engine whose kernel then raised.  The per-cell path would quietly
@@ -15,9 +15,11 @@ Two kinds of cells reach the event path instead of the batch engine:
   handed to the event path (whose retry/diagnostic machinery reports
   real per-cell errors).
 
-Historically the single-run path and ``SweepExecutor`` each carried
-their own copy of this logic; :func:`warn_batch_fallback` is now the
-only place the warning is worded and counted.
+:func:`warn_batch_fallback` is the only place the warning is worded
+and counted: :func:`~repro.session.execute.execute_plan` calls it for
+every lane pack that fails (including the one-cell pack of a direct run
+promised the batch engine), and the standalone single-run path for its
+own cell.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ runtime batch→event fallback flag and, for a cell whose retry failed
 too, its :class:`CellFailure` diagnostics.
 
 :class:`SessionStats` is the execution accounting every orchestration
-entry point shares (``stats`` on a session, a sweep executor or the
-service).
+entry point shares (``stats`` on a session or the service).
 """
 
 from __future__ import annotations
@@ -87,10 +86,10 @@ class SessionStats:
     batch_groups: int = 0
     batch_replications: int = 0
     #: Batch-capable cells that *silently degraded* to the per-cell
-    #: event path because the lane pack failed at runtime.  Statically
-    #: out-of-domain cells (no kernel, JSONL telemetry, event cells) are
-    #: not counted — they were never promised the batch engine.  The
-    #: fault-free differential suite asserts this stays zero.
+    #: event path because their lane pack failed at runtime.  Statically
+    #: out-of-domain cells (no kernel, event cells) are not counted —
+    #: they were never promised the batch engine.  The fault-free
+    #: differential suite asserts this stays zero.
     fallback_cells: int = 0
     #: Requests answered by another identical request of the same plan
     #: (the planner's ``dedup`` route).
@@ -109,8 +108,8 @@ class RunOutcome:
     result:
         The run's :class:`~repro.stats.summary.RunResult`; ``None``
         only when the run failed terminally (then ``failure`` says why
-        — :class:`~repro.experiments.sweep.SweepExecutor` raises and
-        the service fails the job instead of returning such outcomes).
+        — a :class:`~repro.session.session.Session` raises and the
+        service fails the job instead of returning such outcomes).
     route:
         How the result was obtained: ``"cache"`` (replayed from the
         content-addressed store), ``"lanes"`` (a lane of one lockstep

@@ -18,9 +18,10 @@ For every :class:`~repro.session.request.RunRequest` it
   ``engine="batch"`` cells without JSONL telemetry become lanes of one
   lockstep super-batch (:func:`repro.engine.batch.run_lanes` packs
   them however heterogeneous); everything else flows to the per-cell
-  direct path (which may still use the batch engine for one cell —
-  JSONL telemetry is only excluded from *lane packs*, where several
-  lanes could contend for one trace file).
+  direct path.  A batch-capable cell with JSONL telemetry is still
+  promised the batch engine (it keeps its ``family``) and runs as a
+  lane pack of its own: JSONL telemetry is only excluded from *shared*
+  packs, where several lanes could contend for one trace file.
 
 The resulting :class:`RunPlan` is pure data; executing it is
 :func:`repro.session.execute.execute_plan`'s job, so backends (process
@@ -80,7 +81,8 @@ class PlannedRun:
     key: str
     #: The replayed result, for ``route == "cache"``.
     cached: Optional["RunResult"] = None
-    #: The lockstep kernel family, for ``route == "lanes"``.
+    #: The lockstep kernel family of a run promised the batch engine:
+    #: every ``"lanes"`` run, and a ``"direct"`` one with JSONL telemetry.
     family: Optional[str] = None
     #: The index of the identical request this one repeats, for
     #: ``route == "dedup"``.
@@ -109,14 +111,14 @@ class RunPlan:
         return self.by_route(ROUTE_DIRECT)
 
 
-def _lane_eligible(request: RunRequest) -> bool:
+def _batch_family(request: RunRequest) -> Optional[str]:
+    """The kernel family of a request promised the batch engine."""
     settings = request.settings
-    telemetry = settings.telemetry
     if settings.engine != "batch":
-        return False
-    if telemetry is not None and telemetry.jsonl_path is not None:
-        return False
-    return batch_capable(request.scenario, request.protocol, settings)[0]
+        return None
+    if not batch_capable(request.scenario, request.protocol, settings)[0]:
+        return None
+    return kernel_family(request.protocol)
 
 
 def plan_runs(
@@ -149,16 +151,9 @@ def plan_runs(
                     PlannedRun(index, resolved, ROUTE_CACHE, key=key, cached=hit)
                 )
                 continue
-        if _lane_eligible(resolved):
-            runs.append(
-                PlannedRun(
-                    index,
-                    resolved,
-                    ROUTE_LANES,
-                    key=key,
-                    family=kernel_family(resolved.protocol),
-                )
-            )
-        else:
-            runs.append(PlannedRun(index, resolved, ROUTE_DIRECT, key=key))
+        family = _batch_family(resolved)
+        telemetry = resolved.settings.telemetry
+        jsonl = telemetry is not None and telemetry.jsonl_path is not None
+        route = ROUTE_LANES if family is not None and not jsonl else ROUTE_DIRECT
+        runs.append(PlannedRun(index, resolved, route, key=key, family=family))
     return RunPlan(runs=tuple(runs))

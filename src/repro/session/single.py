@@ -36,9 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = ["run_cell", "run_cell_event", "stats"]
 
-#: Degradation accounting for the single-run path (sweeps tally on
-#: their executor's own stats); ``stats.fallback_cells`` counts runs
-#: that were promised the batch engine but degraded at runtime.
+#: Degradation accounting for the standalone single-run path (a
+#: gather tallies on its session's own stats); ``stats.fallback_cells``
+#: counts runs that were promised the batch engine but degraded at
+#: runtime.
 stats = SessionStats()
 
 

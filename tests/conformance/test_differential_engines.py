@@ -37,10 +37,10 @@ from repro.engine.batch import (
     run_replications,
 )
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultKind, FaultPlan
 from repro.observability.events import TelemetrySettings
 from repro.protocols.registry import get_spec, protocol_names
+from repro.session import RunRequest, Session
 from repro.workload.scenarios import equal_load
 
 #: Every protocol whose registry spec declares a batch kernel.
@@ -349,11 +349,11 @@ def test_unsupported_cells_fall_back_to_event_engine():
 
 def test_sweep_executor_groups_batch_cells():
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="batch"))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="batch"))
         for seed in SEEDS
     ]
-    executor = SweepExecutor(jobs=1)
-    grouped = executor.run(cells)
+    executor = Session(jobs=1)
+    grouped = [o.result for o in executor.run_requests(cells)]
     assert executor.stats.batch_groups == 1
     assert executor.stats.batch_replications == len(SEEDS)
     assert executor.stats.executed == len(SEEDS)
@@ -366,15 +366,15 @@ def test_sweep_executor_groups_batch_cells():
 
 
 def test_executor_engine_override_reaches_declared_event_cells():
-    # The CLI's --engine batch lands on SweepExecutor(engine=...): cells
+    # The CLI's --engine batch lands on Session(engine=...): cells
     # explicitly declaring the event engine are rewritten and grouped,
     # and still produce the event engine's exact results.
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="event"))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="event"))
         for seed in SEEDS
     ]
-    executor = SweepExecutor(jobs=1, engine="batch")
-    grouped = executor.run(cells)
+    executor = Session(jobs=1, engine="batch")
+    grouped = [o.result for o in executor.run_requests(cells)]
     assert executor.stats.batch_groups == 1
     assert executor.stats.batch_replications == len(SEEDS)
     for seed, result in zip(SEEDS, grouped):
@@ -391,14 +391,14 @@ def test_sweep_executor_packs_fault_cells_into_lanes():
     for seed in (1, 2):
         plan = _bus_fault_plan("rr", 4, rate=0.3, seed=seed)
         cells.append(
-            SweepCell(
+            RunRequest(
                 equal_load(4, 2.0),
                 "rr",
                 replace(SETTINGS, seed=seed, fault_plan=plan, watchdog=WatchdogPolicy()),
             )
         )
-    executor = SweepExecutor(jobs=1)
-    results = executor.run(cells)
+    executor = Session(jobs=1)
+    results = [o.result for o in executor.run_requests(cells)]
     assert executor.stats.batch_groups == 1
     assert executor.stats.batch_replications == 2
     assert executor.stats.fallback_cells == 0
@@ -421,12 +421,12 @@ def test_sweep_executor_warns_and_counts_runtime_fallback(monkeypatch):
     monkeypatch.setattr(sweep_module, "run_lanes", boom)
     seeds = (1, 2, 3)
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s))
         for s in seeds
     ]
-    executor = SweepExecutor(jobs=1)
+    executor = Session(jobs=1)
     with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
-        results = executor.run(cells)
+        results = [o.result for o in executor.run_requests(cells)]
     assert executor.stats.fallback_cells == len(seeds)
     assert executor.stats.batch_groups == 0
     assert executor.stats.executed == len(seeds)
@@ -441,7 +441,7 @@ def test_executor_rejects_unknown_engine():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        SweepExecutor(engine="warp")
+        Session(engine="warp")
 
 
 def test_sweep_executor_leaves_declared_event_cells_alone():
@@ -449,11 +449,11 @@ def test_sweep_executor_leaves_declared_event_cells_alone():
     # never enters a lane pack (and is not a "fallback" — it was never
     # batch-eligible to begin with).
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s, engine="event"))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s, engine="event"))
         for s in (1, 2)
     ]
-    executor = SweepExecutor(jobs=1)
-    executor.run(cells)
+    executor = Session(jobs=1)
+    executor.run_requests(cells)
     assert executor.stats.batch_groups == 0
     assert executor.stats.executed == 2
     assert executor.stats.fallback_cells == 0
@@ -568,19 +568,19 @@ def test_mixed_sweep_counts_only_in_domain_cells_as_fallback(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "run_lanes", boom)
     in_domain = [
-        SweepCell(_mmpp_closed(), "rr", replace(SETTINGS, seed=s)) for s in (1, 2)
+        RunRequest(_mmpp_closed(), "rr", replace(SETTINGS, seed=s)) for s in (1, 2)
     ]
     out_of_domain = [
-        SweepCell(
+        RunRequest(
             open_loop_equal_load(4, 0.8, max_outstanding=1),
             "fcfs",
             replace(SETTINGS, seed=s),
         )
         for s in (1, 2, 3)
     ]
-    executor = SweepExecutor(jobs=1)
+    executor = Session(jobs=1)
     with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
-        results = executor.run(in_domain + out_of_domain)
+        results = [o.result for o in executor.run_requests(in_domain + out_of_domain)]
     assert executor.stats.fallback_cells == len(in_domain)
     assert executor.stats.executed == len(in_domain) + len(out_of_domain)
     for cell, result in zip(in_domain + out_of_domain, results):

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.cache import cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.observability import (
     ArbitrationEvent,
     Histogram,
@@ -23,6 +22,7 @@ from repro.observability import (
     merge_metrics,
     render_metrics,
 )
+from repro.session import RunRequest, Session
 from repro.workload.scenarios import equal_load
 
 from _utils import quick_settings
@@ -250,26 +250,26 @@ class TestRunnerWiring:
 
 
 class TestSweepMetrics:
-    def test_merged_metrics_across_cells(self):
+    def test_merge_metrics_across_cells(self):
         settings = quick_settings(telemetry=TelemetrySettings(metrics=True))
         cells = [
-            SweepCell(equal_load(4, 2.0), protocol, settings)
+            RunRequest(equal_load(4, 2.0), protocol, settings)
             for protocol in ("rr", "fcfs")
         ]
-        results = SweepExecutor(jobs=1).run(cells)
-        merged = SweepExecutor.merged_metrics(results)
+        results = [o.result for o in Session(jobs=1).run_requests(cells)]
+        merged = merge_metrics(r.metrics for r in results)
         total = sum(result.metrics.counter("grants").value for result in results)
         assert merged.counter("grants").value == total
 
-    def test_merged_metrics_skips_untelemetried_cells(self):
-        plain = SweepCell(equal_load(4, 2.0), "rr", quick_settings())
-        observed = SweepCell(
+    def test_merge_metrics_skips_untelemetried_cells(self):
+        plain = RunRequest(equal_load(4, 2.0), "rr", quick_settings())
+        observed = RunRequest(
             equal_load(4, 2.0),
             "rr",
             quick_settings(telemetry=TelemetrySettings(metrics=True)),
         )
-        results = SweepExecutor(jobs=1).run([plain, observed])
-        merged = SweepExecutor.merged_metrics(results)
+        results = [o.result for o in Session(jobs=1).run_requests([plain, observed])]
+        merged = merge_metrics(r.metrics for r in results)
         assert merged.counter("grants").value == results[1].metrics.counter(
             "grants"
         ).value

@@ -455,12 +455,10 @@ class TestExecutorDuckType:
             result = service.simulate(equal_load(3, 0.5), "rr", SETTINGS)
             assert result.utilization > 0
 
-    def test_session_can_front_a_service(self, tmp_path):
+    def test_run_requests_dedups_identical_requests(self, tmp_path):
         with _service(tmp_path, serial=True) as service:
-            session = Session(executor=service)
-            session.submit(equal_load(3, 0.5), "rr", SETTINGS)
-            session.submit(equal_load(3, 0.5), "rr", SETTINGS)  # dedups in Session
-            outcomes = session.gather()
+            request = RunRequest(equal_load(3, 0.5), "rr", SETTINGS)
+            outcomes = service.run_requests([request, request])  # dedups in the planner
             assert [outcome.route for outcome in outcomes][1] == "dedup"
 
 

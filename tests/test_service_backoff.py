@@ -81,14 +81,14 @@ class TestSweepIntegration:
         assert RETRY_BACKOFF.cap <= 1.0  # a single in-process retry stays snappy
 
     def test_sweep_executor_uses_the_shared_policy_by_default(self):
-        from repro.experiments.sweep import SweepExecutor
+        from repro.session import Session
 
-        assert SweepExecutor(jobs=1).backoff is RETRY_BACKOFF
+        assert Session(jobs=1).backoff is RETRY_BACKOFF
 
     def test_sweep_retry_sleeps_through_the_policy(self, monkeypatch):
         import repro.experiments.sweep as sweep_module
         from repro.experiments.runner import SimulationSettings
-        from repro.experiments.sweep import SweepCell, SweepExecutor
+        from repro.session import RunRequest, Session
         from repro.workload.scenarios import equal_load
 
         real = sweep_module.run_simulation
@@ -108,8 +108,8 @@ class TestSweepIntegration:
                 self.delay(attempt, token)
             )
         )
-        executor = SweepExecutor(jobs=1, backoff=policy)
+        executor = Session(jobs=1, backoff=policy)
         settings = SimulationSettings(batches=2, batch_size=20, seed=5, engine="event")
-        executor.run([SweepCell(equal_load(3, 0.5), "rr", settings, tag="flaky")])
+        executor.run_requests([RunRequest(equal_load(3, 0.5), "rr", settings, tag="flaky")])
         assert executor.stats.retries == 1
         assert slept == [policy.delay(0, "flaky")]

@@ -15,12 +15,12 @@ from dataclasses import replace
 
 import pytest
 
+import repro.engine.batch as batch_module
 import repro.session.single as single_module
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepExecutor
 from repro.observability import TelemetrySettings
 from repro.session import (
     RunPlan,
@@ -243,6 +243,76 @@ class TestSingleRunFallback:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+class TestDirectRouteFallback:
+    """A batch-capable cell the planner routes ``direct`` (JSONL
+    telemetry keeps it out of shared lane packs) whose kernel raises at
+    runtime: the fallback is the gathering session's, on its outcome and
+    its ``stats`` — not the process-global single-run tally, which a
+    pool worker would keep to itself."""
+
+    @staticmethod
+    def _break_kernel(monkeypatch):
+        def diverged(self, completions):
+            raise RuntimeError("lane kernel diverged")
+
+        monkeypatch.setattr(batch_module._Replication, "advance", diverged)
+
+    @staticmethod
+    def _jsonl_request(tmp_path, name, seed=3):
+        telemetry = TelemetrySettings(jsonl_path=str(tmp_path / name))
+        settings = replace(SETTINGS, seed=seed, telemetry=telemetry)
+        return RunRequest(equal_load(4, 2.0), "rr", settings)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runtime_kernel_failure_is_tallied_on_the_session(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        self._break_kernel(monkeypatch)
+        requests = [
+            self._jsonl_request(tmp_path, f"trace-{seed}.jsonl", seed) for seed in (3, 4)
+        ][:jobs]
+        before = single_module.stats.fallback_cells
+        session = Session(jobs=jobs)
+        with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
+            outcomes = session.run_requests(requests)
+        assert [outcome.route for outcome in outcomes] == [ROUTE_DIRECT] * jobs
+        assert all(outcome.fallback for outcome in outcomes)
+        assert session.stats.fallback_cells == jobs
+        assert single_module.stats.fallback_cells == before
+        for request, outcome in zip(requests, outcomes):
+            event = run_simulation(
+                request.scenario,
+                request.protocol,
+                replace(request.settings, engine="event"),
+            )
+            assert _fingerprint(outcome.result) == _fingerprint(event)
+
+
+def test_gather_goes_through_each_sweep_seam_once(monkeypatch):
+    # The benchmark's tracer wraps these four names in
+    # repro.experiments.sweep and Session.run_requests by name; a seam
+    # that moves without being renamed would leave it recording zeros.
+    import repro.experiments.sweep as sweep_module
+
+    calls = {}
+    for name in ("plan_runs", "execute_plan", "run_lanes", "run_simulation"):
+
+        def counted(*args, _name=name, _real=getattr(sweep_module, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, name, counted)
+    outcomes = Session(jobs=1).run_requests(
+        [
+            RunRequest(equal_load(4, 2.0), "rr", SETTINGS),  # lanes
+            RunRequest(equal_load(4, 2.0), "aap1", SETTINGS),  # event only
+        ]
+    )
+    assert [outcome.route for outcome in outcomes] == [ROUTE_LANES, ROUTE_DIRECT]
+    assert calls == {"plan_runs": 1, "execute_plan": 1, "run_lanes": 1, "run_simulation": 1}
+    assert "run_requests" in Session.__dict__
+
+
 class TestSessionFacade:
     def test_submit_gather_preserves_submission_order(self):
         session = Session(jobs=1)
@@ -311,8 +381,8 @@ class TestSessionFacade:
         assert outcomes[0].route == ROUTE_DIRECT
 
     def test_session_backs_experiment_grids(self):
-        # The facade satisfies the executor duck type (run_requests /
-        # simulate), so it can replace a SweepExecutor behind a grid.
+        # A grid run through run_cells matches the same requests
+        # gathered directly.
         from repro.experiments.spec import CellSpec, run_cells
 
         session = Session(jobs=1)
@@ -321,15 +391,12 @@ class TestSessionFacade:
             CellSpec(key="fcfs", scenario=equal_load(4, 2.0), protocol="fcfs", settings=SETTINGS),
         ]
         results = run_cells(cells, executor=session)
-        direct = SweepExecutor(jobs=1).run([cell.sweep_cell() for cell in cells])
+        direct = [
+            o.result
+            for o in Session(jobs=1).run_requests([cell.run_request() for cell in cells])
+        ]
         for mine, theirs in zip(results, direct):
             assert _fingerprint(mine) == _fingerprint(theirs)
-
-    def test_session_reuses_a_supplied_executor(self):
-        executor = SweepExecutor(jobs=1)
-        session = Session(executor=executor)
-        assert session.executor is executor
-        assert session.stats is executor.stats
 
 
 def _count_cache_keys(monkeypatch):

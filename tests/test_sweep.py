@@ -1,4 +1,4 @@
-"""Tests for the sweep executor and the content-addressed result cache.
+"""Tests for session sweeps and the content-addressed result cache.
 
 The load-bearing property is *determinism*: a sweep's results must be a
 pure function of its cells — independent of worker count, execution
@@ -17,8 +17,9 @@ from repro.errors import ConfigurationError, SweepExecutionError
 from repro.experiments import sweep as sweep_module
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor, resolve_jobs
+from repro.experiments.sweep import resolve_jobs
 from repro.service import shards as shards_module
+from repro.session import RunRequest, Session
 from repro.signals.contention import ParallelContention
 from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load
 from repro.workload.traces import TraceDistribution
@@ -54,7 +55,7 @@ def _fingerprint(result):
 
 def _grid(loads=(0.5, 1.5), protocols=("rr", "fcfs"), settings=SETTINGS):
     return [
-        SweepCell(equal_load(6, load), protocol, settings)
+        RunRequest(equal_load(6, load), protocol, settings)
         for load in loads
         for protocol in protocols
     ]
@@ -62,13 +63,13 @@ def _grid(loads=(0.5, 1.5), protocols=("rr", "fcfs"), settings=SETTINGS):
 
 class TestSerialExecution:
     def test_matches_direct_run_simulation(self):
-        result = SweepExecutor(jobs=1).simulate(equal_load(6, 1.5), "rr", SETTINGS)
+        result = Session(jobs=1).simulate(equal_load(6, 1.5), "rr", SETTINGS)
         direct = run_simulation(equal_load(6, 1.5), "rr", SETTINGS)
         assert _fingerprint(result) == _fingerprint(direct)
 
     def test_results_in_cell_order(self):
         cells = _grid()
-        results = SweepExecutor(jobs=1).run(cells)
+        results = [o.result for o in Session(jobs=1).run_requests(cells)]
         assert [r.protocol for r in results] == [c.protocol for c in cells]
 
     def test_shared_trace_scenario_cells_are_independent(self):
@@ -83,18 +84,21 @@ class TestSerialExecution:
                 for i in range(1, 5)
             ),
         )
-        first, second = SweepExecutor(jobs=1).run(
-            [SweepCell(scenario, "rr", SETTINGS), SweepCell(scenario, "rr", SETTINGS)]
-        )
+        first, second = [
+            o.result
+            for o in Session(jobs=1).run_requests(
+                [RunRequest(scenario, "rr", SETTINGS), RunRequest(scenario, "rr", SETTINGS)]
+            )
+        ]
         assert _fingerprint(first) == _fingerprint(second)
 
 
 class TestParallelExecution:
     def test_bit_identical_to_serial(self):
         cells = _grid(loads=(0.5, 1.5, 2.5), settings=EVENT_SETTINGS)
-        serial = SweepExecutor(jobs=1).run(cells)
-        parallel_executor = SweepExecutor(jobs=2)
-        parallel = parallel_executor.run(cells)
+        serial = [o.result for o in Session(jobs=1).run_requests(cells)]
+        parallel_executor = Session(jobs=2)
+        parallel = [o.result for o in parallel_executor.run_requests(cells)]
         assert [_fingerprint(r) for r in parallel] == [
             _fingerprint(r) for r in serial
         ]
@@ -105,8 +109,8 @@ class TestParallelExecution:
         assert stats.parallel_batches + stats.serial_batches == 1
 
     def test_single_cell_stays_serial(self):
-        executor = SweepExecutor(jobs=4)
-        executor.run([SweepCell(equal_load(4, 1.0), "rr", SETTINGS)])
+        executor = Session(jobs=4)
+        executor.run_requests([RunRequest(equal_load(4, 1.0), "rr", SETTINGS)])
         assert executor.stats.parallel_batches == 0
 
 
@@ -151,13 +155,13 @@ class TestRetryAndDegradation:
 
         monkeypatch.setattr(sweep_module, "run_simulation", flaky)
         cells = _grid(loads=(0.5,), protocols=("rr", "fcfs"), settings=EVENT_SETTINGS)
-        executor = SweepExecutor(jobs=1)
-        results = executor.run(cells)
+        executor = Session(jobs=1)
+        results = [o.result for o in executor.run_requests(cells)]
         assert [r.protocol for r in results] == ["rr", "fcfs"]
         assert executor.stats.retries == 1
         assert executor.stats.failures == []
         # The healed cell's result matches an untroubled run exactly.
-        clean = SweepExecutor(jobs=1).run(cells)
+        clean = [o.result for o in Session(jobs=1).run_requests(cells)]
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in clean
         ]
@@ -167,10 +171,10 @@ class TestRetryAndDegradation:
             raise RuntimeError("deterministic bug")
 
         monkeypatch.setattr(sweep_module, "run_simulation", doomed)
-        executor = SweepExecutor(jobs=1)
-        cells = [SweepCell(equal_load(4, 1.0), "rr", EVENT_SETTINGS, tag="probe-cell")]
+        executor = Session(jobs=1)
+        cells = [RunRequest(equal_load(4, 1.0), "rr", EVENT_SETTINGS, tag="probe-cell")]
         with pytest.raises(SweepExecutionError) as excinfo:
-            executor.run(cells)
+            executor.run_requests(cells)
         message = str(excinfo.value)
         assert "probe-cell" in message and "deterministic bug" in message
         assert len(executor.stats.failures) == 1
@@ -185,9 +189,9 @@ class TestRetryAndDegradation:
             shards_module, "ProcessPoolExecutor", _BrokenSubmitPool
         )
         cells = _grid(settings=EVENT_SETTINGS)
-        executor = SweepExecutor(jobs=2)
-        results = executor.run(cells)
-        serial = SweepExecutor(jobs=1).run(cells)
+        executor = Session(jobs=2)
+        results = [o.result for o in executor.run_requests(cells)]
+        serial = [o.result for o in Session(jobs=1).run_requests(cells)]
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in serial
         ]
@@ -198,9 +202,9 @@ class TestRetryAndDegradation:
     def test_unconstructible_pool_falls_back_to_plain_serial(self, monkeypatch):
         monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _UnavailablePool)
         cells = _grid(settings=EVENT_SETTINGS)
-        executor = SweepExecutor(jobs=2)
-        results = executor.run(cells)
-        serial = SweepExecutor(jobs=1).run(cells)
+        executor = Session(jobs=2)
+        results = [o.result for o in executor.run_requests(cells)]
+        serial = [o.result for o in Session(jobs=1).run_requests(cells)]
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in serial
         ]
@@ -219,12 +223,12 @@ class TestResolveJobs:
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert SweepExecutor().jobs == 3
+        assert Session().jobs == 3
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ConfigurationError):
-            SweepExecutor()
+            Session()
 
 
 class TestCacheKey:
@@ -260,13 +264,13 @@ class TestCacheKey:
 class TestResultCache:
     def test_cold_run_executes_then_warm_run_replays(self, tmp_path):
         cells = _grid()
-        cold = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        cold_results = cold.run(cells)
+        cold = Session(jobs=1, cache=ResultCache(tmp_path))
+        cold_results = [o.result for o in cold.run_requests(cells)]
         assert cold.stats.executed == len(cells)
         assert cold.stats.cache_hits == 0
 
-        warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        warm_results = warm.run(cells)
+        warm = Session(jobs=1, cache=ResultCache(tmp_path))
+        warm_results = [o.result for o in warm.run_requests(cells)]
         assert warm.stats.executed == 0
         assert warm.stats.cache_hits == len(cells)
         assert [_fingerprint(r) for r in warm_results] == [
@@ -275,15 +279,15 @@ class TestResultCache:
 
     def test_seed_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=cache).run(_grid())
+        Session(jobs=1, cache=cache).run_requests(_grid())
         reseeded = SimulationSettings(
             batches=SETTINGS.batches,
             batch_size=SETTINGS.batch_size,
             warmup=SETTINGS.warmup,
             seed=SETTINGS.seed + 1,
         )
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        executor.run([SweepCell(equal_load(6, 0.5), "rr", reseeded)])
+        executor = Session(jobs=1, cache=ResultCache(tmp_path))
+        executor.run_requests([RunRequest(equal_load(6, 0.5), "rr", reseeded)])
         assert executor.stats.cache_hits == 0
         assert executor.stats.executed == 1
 
@@ -332,14 +336,14 @@ class TestResultCache:
 
     def test_clear_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=cache).run(_grid())
+        Session(jobs=1, cache=cache).run_requests(_grid())
         assert len(cache) == 4
         assert cache.clear() == 4
         assert len(cache) == 0
 
     def test_entries_round_trip_through_pickle(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = SweepExecutor(jobs=1, cache=cache).simulate(
+        result = Session(jobs=1, cache=cache).simulate(
             equal_load(4, 1.0), "rr", SETTINGS
         )
         key = cache_key(equal_load(4, 1.0), "rr", SETTINGS)
